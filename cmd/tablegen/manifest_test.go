@@ -64,7 +64,7 @@ func TestManifestTimingAndMetrics(t *testing.T) {
 	}
 
 	for _, c := range []string{
-		"atpg.patterns", "atpg.backtracks",
+		"atpg.patterns", "atpg.backtracks", "atpg.gate_evals",
 		"detect.sims", "detect.detections",
 		"ilp.solves", "ilp.nodes",
 		"schedule.builds", "schedule.frequencies", "schedule.combos",

@@ -8,6 +8,25 @@ import (
 	"fastmon/internal/fault"
 )
 
+// newMachine builds a one-off machine with its own analysis.
+func newMachine(c *circuit.Circuit, f fault.Fault, stuck value) *machine {
+	return newMachineWith(newAnalysis(c), f, stuck)
+}
+
+// justify runs the justification loop for net = target on a one-off
+// machine and returns a copy of the assignment it found.
+func justify(c *circuit.Circuit, net int, target value, maxBacktracks int) ([]value, podemResult) {
+	an := newAnalysis(c)
+	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
+	_, res := m.justify(net, target, maxBacktracks)
+	var assign []value
+	if res == testFound {
+		assign = append([]value(nil), m.assign...)
+	}
+	an.release(m)
+	return assign, res
+}
+
 func TestEval3(t *testing.T) {
 	cases := []struct {
 		k    circuit.Kind
@@ -29,9 +48,30 @@ func TestEval3(t *testing.T) {
 		{circuit.Buf, []value{v1}, v1},
 	}
 	for _, c := range cases {
-		if got := eval3(c.k, c.in); got != c.want {
+		fanin := make([]int, len(c.in))
+		for i := range fanin {
+			fanin[i] = i
+		}
+		if got := eval3(c.k, fanin, c.in, -1, vX); got != c.want {
 			t.Errorf("eval3(%v, %v) = %v, want %v", c.k, c.in, got, c.want)
 		}
+		// Forcing a pin to the value it already carries changes nothing.
+		for pin := range fanin {
+			if got := eval3(c.k, fanin, c.in, pin, c.in[pin]); got != c.want {
+				t.Errorf("eval3(%v, %v, pin %d) = %v, want %v", c.k, c.in, pin, got, c.want)
+			}
+		}
+	}
+	// A forced pin overrides its net for that pin only: both pins below
+	// read net 0.
+	if got := eval3(circuit.And, []int{0, 0}, []value{v1}, 1, v0); got != v0 {
+		t.Errorf("AND(1, forced 0) = %v, want 0", got)
+	}
+	if got := eval3(circuit.Or, []int{0, 0}, []value{v0}, 0, vX); got != vX {
+		t.Errorf("OR(forced X, 0) = %v, want X", got)
+	}
+	if got := eval3(circuit.Not, []int{0}, []value{v1}, 0, v1); got != v0 {
+		t.Errorf("NOT(forced 1) = %v, want 0", got)
 	}
 }
 

@@ -147,6 +147,8 @@ type candidate struct {
 	jRes    podemResult // valid only when runRes == testFound
 	jBt     int
 	pat     sim.Pattern // valid only when runRes == jRes == testFound
+	// evals counts the gate evaluations of both machines' implication.
+	evals int64
 }
 
 // produceCandidate runs the full per-fault deterministic pipeline: PODEM
@@ -162,7 +164,7 @@ func produceCandidate(an *analysis, f fault.Fault, fi int, cfg Config) candidate
 	}
 	m := newMachineWith(an, f, stuck)
 	res := m.run(cfg.MaxBacktracks)
-	cd := candidate{runRes: res, runBt: m.backtracks}
+	cd := candidate{runRes: res, runBt: m.backtracks, evals: m.evals}
 	if res != testFound {
 		an.release(m)
 		return cd
@@ -172,6 +174,7 @@ func produceCandidate(an *analysis, f fault.Fault, fi int, cfg Config) candidate
 	// (saves the defensive copy the serial path used to make).
 	jm := newMachineWith(an, fault.Fault{Gate: site, Pin: -1}, stuck.not())
 	cd.jBt, cd.jRes = jm.justify(site, stuck, cfg.MaxBacktracks)
+	cd.evals += jm.evals
 	if cd.jRes == testFound {
 		rng := newFillRNG(cfg.Seed, fi)
 		cd.pat = sim.Pattern{V1: fill(jm.assign, &rng), V2: fill(m.assign, &rng)}
@@ -187,6 +190,10 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 	nsrc := len(c.Sources())
 	st := Stats{Faults: len(faults)}
 	var discards, busyNs atomic.Int64
+	// gateEvals sums the implication work of committed candidates only,
+	// so it is the same at any worker count. It stays out of Stats to
+	// keep the cached entry layout unchanged.
+	var gateEvals int64
 	workers := par.ClampWorkersFor(cfg.Workers, len(faults))
 	_, span := obs.StartSpan(ctx, "atpg")
 	phaseStart := time.Now()
@@ -199,6 +206,7 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 		o.Counter("atpg.untestable").Add(int64(st.Untestable))
 		o.Counter("atpg.random_detected").Add(int64(st.RandomDetected))
 		o.Counter("atpg.speculative_discards").Add(discards.Load())
+		o.Counter("atpg.gate_evals").Add(gateEvals)
 		if wall := time.Since(phaseStart); wall > 0 && workers > 0 {
 			o.Gauge("atpg.worker_utilization").Set(
 				float64(busyNs.Load()) / float64(int64(wall)*int64(workers)))
@@ -209,6 +217,7 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 			slog.Int("backtracks", st.Backtracks),
 			slog.Int("aborted", st.Aborted),
 			slog.Int("workers", workers),
+			slog.Int64("gate_evals", gateEvals),
 			slog.Int64("speculative_discards", discards.Load()))
 	}()
 
@@ -348,6 +357,7 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 				cd = produceCandidate(an, faults[fi], fi, cfg)
 			}
 			st.Backtracks += cd.runBt
+			gateEvals += cd.evals
 			switch cd.runRes {
 			case untestable:
 				st.Untestable++

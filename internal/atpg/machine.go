@@ -54,16 +54,25 @@ func fromBool(b bool) value {
 	return v0
 }
 
-// eval3 evaluates a gate kind over 3-valued inputs.
-func eval3(kind circuit.Kind, in []value) value {
+// eval3 evaluates a gate kind over the 3-valued values vals[f] of its
+// fanin nets. A pin >= 0 reads pv in place of that pin's net: the forced
+// value of a pin fault in the faulty machine.
+func eval3(kind circuit.Kind, fanin []int, vals []value, pin int, pv value) value {
+	in := func(i int) value {
+		if i == pin {
+			return pv
+		}
+		return vals[fanin[i]]
+	}
 	switch kind {
 	case circuit.Buf:
-		return in[0]
+		return in(0)
 	case circuit.Not:
-		return in[0].not()
+		return in(0).not()
 	case circuit.And, circuit.Nand:
 		out := v1
-		for _, v := range in {
+		for i := range fanin {
+			v := in(i)
 			if v == v0 {
 				out = v0
 				break
@@ -78,7 +87,8 @@ func eval3(kind circuit.Kind, in []value) value {
 		return out
 	case circuit.Or, circuit.Nor:
 		out := v0
-		for _, v := range in {
+		for i := range fanin {
+			v := in(i)
 			if v == v1 {
 				out = v1
 				break
@@ -93,7 +103,8 @@ func eval3(kind circuit.Kind, in []value) value {
 		return out
 	case circuit.Xor, circuit.Xnor:
 		out := v0
-		for _, v := range in {
+		for i := range fanin {
+			v := in(i)
 			if v == vX {
 				return vX
 			}
@@ -126,7 +137,7 @@ func controlling(kind circuit.Kind) (value, bool) {
 // observability depths, and the tap/source index tables. Computing it
 // once per circuit instead of once per fault dominates ATPG throughput on
 // large designs. It also owns the machine pool: PODEM scratch state
-// (assignment, dual machine values, dirty versions, search stacks) is
+// (assignment, dual machine values, event worklist, search stacks) is
 // recycled across faults instead of reallocated per target, and the pool
 // is safe for the concurrent speculative workers of the parallel phase.
 type analysis struct {
@@ -136,6 +147,7 @@ type analysis struct {
 	srcIdx   map[int]int // source gate ID -> source order index
 	cc0, cc1 []int       // SCOAP-style controllability costs per net
 	obsDepth []int       // min fanout hops to an observation point (-1: none)
+	topoPos  []int       // gate ID -> position in c.Topo()
 	tapGate  map[int]bool
 
 	pool sync.Pool // *machine scratch, recycled across faults
@@ -157,24 +169,25 @@ type machine struct {
 	good   []value // per gate
 	bad    []value // per gate (faulty machine)
 
-	// siteCone is the fanout cone of the fault site net (topological
-	// order): the only region where fault effects can exist. Frontier and
-	// detection scans are restricted to it.
-	siteCone []int
-	// siteTaps lists the tap-gate IDs inside the cone (or the site net
-	// itself when observed directly).
+	// siteTaps lists the tap-gate IDs inside the fanout cone of the fault
+	// site net (or the site net itself when observed directly): the only
+	// observation points a fault effect can reach.
 	siteTaps []int
 
-	// dirtyVer/curVer implement an O(1)-clear dirty set for event-driven
-	// implication: dirtyVer[id] == curVer marks a changed net.
-	dirtyVer []int
-	curVer   int
+	// queue is the event worklist of incremental implication; evals
+	// counts gate evaluations since the last reset (imply and implySrc).
+	queue circuit.LevelQueue
+	evals int64
+	// trail records the prior values of every net implySrc changed since
+	// the last full imply, so a backtrack that unassigns a decision
+	// restores the state before it (undo) instead of re-implying.
+	trail []trailEntry
 
-	// Reusable per-decision scratch: gate-input values for evalAt, the
-	// PODEM decision stack, the D-frontier buffer, and the visited set of
-	// the X-path check (seenVer[id] == seenCur marks visited). All survive
-	// release/acquire cycles so steady-state PODEM allocates nothing.
-	gin, bin []value
+	// Reusable per-decision scratch: the PODEM decision stack, the
+	// D-frontier buffer, and the visited set and stack of the D-frontier
+	// walk and the X-path check (seenVer[id] == seenCur marks visited).
+	// All survive release/acquire cycles so steady-state PODEM allocates
+	// nothing.
 	stack    []decision
 	frontier []int
 	seenVer  []int
@@ -196,12 +209,12 @@ func newAnalysis(c *circuit.Circuit) *analysis {
 	for _, tap := range a.taps {
 		a.tapGate[tap.Gate] = true
 	}
+	a.topoPos = make([]int, len(c.Gates))
+	for i, id := range c.Topo() {
+		a.topoPos[id] = i
+	}
 	a.computeCosts()
 	return a
-}
-
-func newMachine(c *circuit.Circuit, f fault.Fault, stuck value) *machine {
-	return newMachineWith(newAnalysis(c), f, stuck)
 }
 
 // newMachineWith acquires a machine from the analysis pool and retargets
@@ -212,15 +225,15 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 	m, _ := an.pool.Get().(*machine)
 	if m == nil {
 		n := len(an.c.Gates)
+		vals := make([]value, 2*n) // good and bad share one block
 		m = &machine{
 			analysis: an,
 			assign:   make([]value, len(an.srcs)),
-			good:     make([]value, n),
-			bad:      make([]value, n),
-			dirtyVer: make([]int, n),
+			good:     vals[:n:n],
+			bad:      vals[n:],
+			queue:    an.c.NewLevelQueue(),
+			trail:    make([]trailEntry, 0, n),
 			seenVer:  make([]int, n),
-			gin:      make([]value, 0, 8),
-			bin:      make([]value, 0, 8),
 		}
 	}
 	m.reset(f, stuck)
@@ -232,21 +245,22 @@ func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
 func (an *analysis) release(m *machine) { an.pool.Put(m) }
 
 // reset retargets a pooled machine at a new fault. good/bad need no
-// clearing (imply rewrites every gate before they are read) and
-// dirtyVer/seenVer survive because their versions are monotone.
+// clearing (imply rewrites every gate before they are read), the worklist
+// is always drained, and seenVer survives because its versions are
+// monotone.
 func (m *machine) reset(f fault.Fault, stuck value) {
 	m.flt, m.stuck = f, stuck
 	m.backtracks = 0
+	m.evals = 0
 	for i := range m.assign {
 		m.assign[i] = vX
 	}
 	site := m.siteNet()
-	m.siteCone = m.c.FanoutCone(site)
 	m.siteTaps = m.siteTaps[:0]
 	if m.tapGate[site] {
 		m.siteTaps = append(m.siteTaps, site)
 	}
-	for _, id := range m.siteCone {
+	for _, id := range m.c.FanoutCone(site) {
 		if m.tapGate[id] {
 			m.siteTaps = append(m.siteTaps, id)
 		}
@@ -353,30 +367,25 @@ func (m *machine) siteNet() int {
 }
 
 // evalAt recomputes good and bad for one combinational gate from its
-// current fanin values, honouring the fault forcing. It uses the
-// machine's gin/bin scratch (kept across calls so wide gates grow the
-// buffers once instead of reallocating per evaluation).
+// current fanin values, honouring the fault forcing.
 func (m *machine) evalAt(id int) {
+	m.evals++
 	g := &m.c.Gates[id]
-	gin, bin := m.gin[:0], m.bin[:0]
-	for _, f := range g.Fanin {
-		gin = append(gin, m.good[f])
-		bin = append(bin, m.bad[f])
+	m.good[id] = eval3(g.Kind, g.Fanin, m.good, -1, vX)
+	switch {
+	case id != m.flt.Gate:
+		m.bad[id] = eval3(g.Kind, g.Fanin, m.bad, -1, vX)
+	case m.flt.Pin < 0:
+		m.bad[id] = m.stuck
+	default:
+		m.bad[id] = eval3(g.Kind, g.Fanin, m.bad, m.flt.Pin, m.stuck)
 	}
-	m.gin, m.bin = gin, bin
-	m.good[id] = eval3(g.Kind, gin)
-	if id == m.flt.Gate {
-		if m.flt.Pin < 0 {
-			m.bad[id] = m.stuck
-			return
-		}
-		bin[m.flt.Pin] = m.stuck
-	}
-	m.bad[id] = eval3(g.Kind, bin)
 }
 
-// imply evaluates both machines from the current source assignment.
+// imply evaluates both machines from the current source assignment and
+// starts a new trail.
 func (m *machine) imply() {
+	m.trail = m.trail[:0]
 	for i, id := range m.srcs {
 		m.good[id] = m.assign[i]
 		m.bad[id] = m.assign[i]
@@ -386,39 +395,59 @@ func (m *machine) imply() {
 	}
 }
 
-// implySrc incrementally re-evaluates the fanout cone of one changed
-// source — the per-decision cost of the PODEM loop. The sweep is
-// event-driven: a cone gate is re-evaluated only when one of its fanins
-// actually changed, and marks itself changed only when its own output
-// moved, so implication cost tracks the actually affected region rather than the
-// structural cone.
+// trailEntry is one net's good and faulty values before an implication
+// changed them.
+type trailEntry struct {
+	id        int32
+	good, bad value
+}
+
+// implySrc incrementally re-implies both machines after one source
+// assignment changed — the per-decision cost of the PODEM loop. It is
+// event-driven on the shared level worklist: a gate is re-evaluated only
+// when one of its fanins changed, and queues its fanouts only when its own
+// good or faulty value moved, so the cost tracks the region whose values
+// actually change rather than the structural fanout cone. The implication
+// fixpoint is unique, so the result equals a full imply. Every change is
+// recorded on the trail.
 func (m *machine) implySrc(srcIdx int) {
 	srcGate := m.srcs[srcIdx]
 	nv := m.assign[srcIdx]
 	if m.good[srcGate] == nv && m.bad[srcGate] == nv {
 		return
 	}
-	m.curVer++
+	m.trail = append(m.trail, trailEntry{int32(srcGate), m.good[srcGate], m.bad[srcGate]})
 	m.good[srcGate] = nv
 	m.bad[srcGate] = nv
-	m.dirtyVer[srcGate] = m.curVer
-	for _, id := range m.c.FanoutCone(srcGate) {
-		touched := false
-		for _, f := range m.c.Gates[id].Fanin {
-			if m.dirtyVer[f] == m.curVer {
-				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
+	q := &m.queue
+	for _, fo := range m.c.Gates[srcGate].Fanout {
+		q.Push(fo)
+	}
+	for {
+		id, ok := q.Next()
+		if !ok {
+			return
 		}
 		og, ob := m.good[id], m.bad[id]
 		m.evalAt(id)
 		if m.good[id] != og || m.bad[id] != ob {
-			m.dirtyVer[id] = m.curVer
+			m.trail = append(m.trail, trailEntry{int32(id), og, ob})
+			for _, fo := range m.c.Gates[id].Fanout {
+				q.Push(fo)
+			}
 		}
 	}
+}
+
+// undo restores the values the trail recorded since its length was mark:
+// the state of the assignment at that point, which is again the current
+// assignment once every decision made since then is unassigned.
+func (m *machine) undo(mark int) {
+	for i := len(m.trail) - 1; i >= mark; i-- {
+		e := m.trail[i]
+		m.good[e.id], m.bad[e.id] = e.good, e.bad
+	}
+	m.trail = m.trail[:mark]
 }
 
 // effect reports whether net s carries a defined fault effect.
@@ -455,40 +484,58 @@ func (m *machine) activationConflict() bool {
 // advance: some fanin carries the effect (or, for a pin fault, the fault
 // gate itself is activated) and the gate output is not yet fully defined
 // in both machines. The result is sorted by distance to the nearest
-// observation point, closest first.
+// observation point, closest first, ties in topological order.
+//
+// Effects originate at the fault gate, and any other gate carries one only
+// if some fanin does: a defined good/faulty difference at a gate output
+// needs one at an input. So the frontier is found by a walk from the fault
+// gate through effect-carrying gates, not by a scan of the site cone.
 func (m *machine) dFrontier() []int {
 	out := m.frontier[:0]
-	for _, id := range m.siteCone {
-		g := &m.c.Gates[id]
-		if m.good[id] != vX && m.bad[id] != vX {
-			continue
-		}
-		if id == m.flt.Gate && m.flt.Pin >= 0 && m.activated() {
-			// The effect originates inside the fault gate: the forced pin
-			// differs from its good value.
-			out = append(out, id)
-			continue
-		}
-		for _, f := range g.Fanin {
-			if m.effect(f) {
-				out = append(out, id)
-				break
+	m.seenCur++
+	seen, cur := m.seenVer, m.seenCur
+	stack := m.xstack[:0]
+	g := m.flt.Gate
+	seen[g] = cur
+	if m.effect(g) {
+		stack = append(stack, g)
+	} else if m.flt.Pin >= 0 && m.activated() && (m.good[g] == vX || m.bad[g] == vX) {
+		// The effect originates inside the fault gate: the forced pin
+		// differs from its good value.
+		out = append(out, g)
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, fo := range m.c.Gates[id].Fanout {
+			if seen[fo] == cur || m.c.Gates[fo].Kind == circuit.DFF {
+				continue
+			}
+			seen[fo] = cur
+			if m.good[fo] == vX || m.bad[fo] == vX {
+				out = append(out, fo)
+			} else if m.effect(fo) {
+				stack = append(stack, fo)
 			}
 		}
 	}
-	// Stable insertion sort by observation depth: frontiers are small and
-	// this runs once per decision, where sort.SliceStable's reflection
-	// closure allocated on every call.
-	depth := func(id int) int {
-		if d := m.obsDepth[id]; d >= 0 {
-			return d
+	m.xstack = stack
+	// Insertion sort: frontiers are small and this runs once per decision,
+	// where sort.Slice's reflection closure allocated on every call.
+	less := func(a, b int) bool {
+		da, db := m.obsDepth[a], m.obsDepth[b]
+		if da < 0 {
+			da = 1 << 30
 		}
-		return 1 << 30
+		if db < 0 {
+			db = 1 << 30
+		}
+		return da < db || da == db && m.topoPos[a] < m.topoPos[b]
 	}
 	for i := 1; i < len(out); i++ {
-		v, dv := out[i], depth(out[i])
+		v := out[i]
 		j := i
-		for ; j > 0 && depth(out[j-1]) > dv; j-- {
+		for ; j > 0 && less(v, out[j-1]); j-- {
 			out[j] = out[j-1]
 		}
 		out[j] = v

@@ -1,7 +1,10 @@
 package atpg
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -10,6 +13,7 @@ import (
 
 	"fastmon/internal/circuit"
 	"fastmon/internal/fault"
+	"fastmon/internal/obs"
 )
 
 // withProcs raises GOMAXPROCS so worker clamping does not collapse the
@@ -99,6 +103,45 @@ func TestGenerateParallelSkipsRandomPhase(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base, got) || baseStats != gotStats {
 			t.Fatalf("workers=%d diverged from serial", w)
+		}
+	}
+}
+
+// TestGateEvalsWorkerIndependent pins the atpg.gate_evals work counter:
+// it sums only committed candidates, so the obs counter and the atpg span
+// attribute agree and are the same at every worker count.
+func TestGateEvalsWorkerIndependent(t *testing.T) {
+	withProcs(t, 8)
+	c := circuit.MustGenerate(circuit.GenSpec{
+		Name: "gevals", Gates: 150, FFs: 8, Inputs: 12, Outputs: 6, Depth: 8, Seed: 3})
+	faults := fault.Universe(c)
+	var want int64
+	for _, w := range []int{1, 2, 8} {
+		var buf bytes.Buffer
+		o := obs.New(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+		cfg := DefaultConfig(7)
+		cfg.Workers = w
+		if _, _, err := Generate(obs.With(context.Background(), o), c, faults, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got := o.Counter("atpg.gate_evals").Value()
+		var rec struct {
+			Span      string `json:"span"`
+			GateEvals int64  `json:"gate_evals"`
+		}
+		if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &rec); err != nil || rec.Span != "atpg" {
+			t.Fatalf("workers=%d: no atpg span record (%v): %s", w, err, buf.String())
+		}
+		if rec.GateEvals != got {
+			t.Fatalf("workers=%d: span gate_evals %d, counter %d", w, rec.GateEvals, got)
+		}
+		if w == 1 {
+			if got <= 0 {
+				t.Fatalf("gate_evals = %d, want > 0", got)
+			}
+			want = got
+		} else if got != want {
+			t.Fatalf("workers=%d: gate_evals %d, serial %d", w, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"fastmon/internal/circuit"
-	"fastmon/internal/fault"
 )
 
 // podemResult is the outcome of one PODEM run.
@@ -18,6 +17,7 @@ type decision struct {
 	src     int // source index
 	val     value
 	flipped bool
+	mark    int // trail length before the decision was implied
 }
 
 // objective returns the next (net, value) objective: activate the fault if
@@ -116,7 +116,7 @@ func (m *machine) run(maxBacktracks int) podemResult {
 			} else if src, v, ok2 := m.backtrace(net, val); !ok2 {
 				fail = true
 			} else {
-				stack = append(stack, decision{src: src, val: v})
+				stack = append(stack, decision{src: src, val: v, mark: len(m.trail)})
 				m.assign[src] = v
 				m.implySrc(src)
 				continue
@@ -140,27 +140,10 @@ func (m *machine) run(maxBacktracks int) podemResult {
 				break
 			}
 			m.assign[top.src] = vX
-			m.implySrc(top.src)
+			m.undo(top.mark)
 			stack = stack[:len(stack)-1]
 		}
 	}
-}
-
-// justify searches for a source assignment that sets the given net to the
-// target value (used to build the initialization vector V1). It runs the
-// same decision engine with a trivial fault so that the good machine is
-// authoritative. The returned assignment is a copy that survives the
-// machine's return to the pool.
-func justify(c *circuit.Circuit, net int, target value, maxBacktracks int) ([]value, podemResult) {
-	an := newAnalysis(c)
-	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
-	_, res := m.justify(net, target, maxBacktracks)
-	var assign []value
-	if res == testFound {
-		assign = append([]value(nil), m.assign...)
-	}
-	an.release(m)
-	return assign, res
 }
 
 // justify runs the justification decision loop on this machine: it
@@ -181,7 +164,7 @@ func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemR
 		}
 		if m.good[net] == vX {
 			if src, v, ok := m.backtrace(net, target); ok {
-				stack = append(stack, decision{src: src, val: v})
+				stack = append(stack, decision{src: src, val: v, mark: len(m.trail)})
 				m.assign[src] = v
 				m.implySrc(src)
 				continue
@@ -205,24 +188,10 @@ func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemR
 				break
 			}
 			m.assign[top.src] = vX
-			m.implySrc(top.src)
+			m.undo(top.mark)
 			stack = stack[:len(stack)-1]
 		}
 	}
-}
-
-// justifyWith is the shared-analysis justification entry used by tests:
-// it reports the assignment (copied out of the pooled machine), the
-// backtracks spent, and the result.
-func justifyWith(an *analysis, net int, target value, maxBacktracks int) ([]value, int, podemResult) {
-	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
-	bt, res := m.justify(net, target, maxBacktracks)
-	var assign []value
-	if res == testFound {
-		assign = append([]value(nil), m.assign...)
-	}
-	an.release(m)
-	return assign, bt, res
 }
 
 // splitmix64 is the SplitMix64 output function: a bijective avalanche
