@@ -3,15 +3,9 @@ package ilp
 import (
 	"context"
 	"sort"
-	"strconv"
-	"sync/atomic"
 
 	"fastmon/internal/bitset"
-	"fastmon/internal/chaos"
 	"fastmon/internal/fmerr"
-	"fastmon/internal/obs"
-	"fastmon/internal/obs/flight"
-	"fastmon/internal/par"
 )
 
 // CoverResult is the outcome of a covering solve.
@@ -68,24 +62,6 @@ func Coverable(sets []*bitset.Set, universe *bitset.Set) bool {
 	return u.Empty()
 }
 
-// CoverModel builds the paper's zero-one program for a covering instance:
-// minimize Σ x_j subject to Σ_{j covers i} x_j ≥ 1 for every element i of
-// the universe. Exposed so that tests can cross-check the specialized
-// solver against the generic one.
-func CoverModel(sets []*bitset.Set, universe *bitset.Set) *Model {
-	m := NewModel(len(sets))
-	for _, e := range universe.Members(nil) {
-		var vars []int
-		for j, s := range sets {
-			if s.Has(e) {
-				vars = append(vars, j)
-			}
-		}
-		m.AddAtLeastOne(vars)
-	}
-	return m
-}
-
 // coverTask is one subproblem of the SetCover search: the elements still
 // uncovered on this path and the sub-set indices chosen so far. Each task
 // owns its bitset and slice.
@@ -94,40 +70,33 @@ type coverTask struct {
 	cur []int
 }
 
+// coverScratch is a SetCover worker's per-depth scratch: the DFS is
+// strictly nested, so one uncovered set and one candidate list per depth
+// replace per-node clones and sorts; only the storage is reused.
+type coverScratch struct {
+	unc   []*bitset.Set
+	cands []candList
+}
+
+type candList struct{ idx, gain []int }
+
 // SetCover solves minimum set cover exactly by branch-and-bound with
-// covering presolve. The search runs on a work-sharing frontier
-// (Options.Workers, see par.Frontier): workers expand subproblems
-// depth-first and offload sibling subtrees when the pool runs hungry;
-// incumbents are published through an atomic best length plus a
-// lexicographic tie-break, so the returned Selected set is bit-identical
-// for every worker count (see parallel.go). It returns an error when the
-// universe is not coverable. The context is polled at node granularity:
-// an expired deadline (the paper's solver timeout) returns the best
-// incumbent with a nil error; cancellation returns the incumbent together
-// with an error wrapping context.Canceled.
+// covering presolve, on the search harness shared with PartialCover
+// (solve.go): Selected is the same lexicographically smallest optimum for
+// every Options.Workers. It returns an error when the universe is not
+// coverable. An expired deadline (the paper's solver timeout) returns the
+// best incumbent with a nil error; cancellation returns the incumbent
+// together with an error wrapping context.Canceled.
 func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opts Options) (CoverResult, error) {
 	if !Coverable(sets, universe) {
 		return CoverResult{}, fmerr.Errorf(fmerr.StageSolve, "setcover",
 			"universe not coverable by the given sets")
 	}
-	if err := chaos.Point(ctx, ptSolve); err != nil {
-		return CoverResult{}, fmerr.Wrap(fmerr.StageSolve, "setcover", err)
+	if res, done, err := begin(ctx, "setcover", func() ([]int, error) {
+		return GreedyCover(sets, universe)
+	}); done {
+		return res, err
 	}
-	// Entry check: with the budget already spent (or the flow cancelled)
-	// the greedy cover is the whole result.
-	if s := checkCtx(ctx); s != stopNone {
-		g, err := GreedyCover(sets, universe)
-		if err != nil {
-			return CoverResult{}, err
-		}
-		res := CoverResult{Selected: g, Gap: 1, Degradation: fmerr.DegradeIncumbent}
-		recordSolve(ctx, 0, 0, false, 1)
-		if s == stopCanceled {
-			return res, fmerr.Wrap(fmerr.StageSolve, "setcover", ctx.Err())
-		}
-		return res, nil
-	}
-	res := CoverResult{}
 	uncovered := universe.Clone()
 	alive := make([]bool, len(sets))
 	for i := range alive {
@@ -240,9 +209,8 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 
 	if uncovered.Empty() {
 		sort.Ints(chosen)
-		res.Selected, res.Optimal = chosen, true
 		recordSolve(ctx, 0, 0, true, 0)
-		return res, nil
+		return CoverResult{Selected: chosen, Optimal: true}, nil
 	}
 
 	aliveIdx := aliveList(alive)
@@ -275,81 +243,17 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 	// ties). Subtrees are pruned only when strictly worse than the
 	// incumbent so every optimal cover stays reachable and the bestList
 	// tie-break makes the outcome interleaving-independent.
-	workers := par.ClampWorkers(opts.Workers)
-	best := newBestList(incumbent, 0)
-	frec := obs.From(ctx).Flight()
-	// Resolved once: the injector never changes mid-solve, and the nil
-	// injector is a valid no-op (see chaos package doc).
-	inj := chaos.From(ctx)
-	var (
-		nodes, incumbents, stolen atomic.Int64
-		stop                      stopFlag
-	)
-	fr := par.NewFrontier[coverTask](workers)
-	fr.Push(0, coverTask{unc: uncovered.Clone()})
-	par.Run(workers, func(id int) {
-		defer func() {
-			// A worker dying mid-search must not strand its peers in Pop.
-			if r := recover(); r != nil {
-				fr.Abort()
-				panic(r)
-			}
-		}()
-		// Per-depth scratch: the DFS is strictly nested, so one uncovered
-		// set and one candidate list per depth replace the per-node clones
-		// and sorts that dominated the allocation profile. Values are
-		// identical to the cloning version; only the storage is reused.
-		var uncScratch []*bitset.Set
-		uncAt := func(d int) *bitset.Set {
-			for len(uncScratch) <= d {
-				uncScratch = append(uncScratch, bitset.New(universe.Len()))
-			}
-			return uncScratch[d]
-		}
-		type candList struct{ idx, gain []int }
-		var candScratch []candList
-		localNodes := int64(0)
-		// poll is the once-per-window slow path of node accounting: see the
-		// PartialCover twin for the determinism argument. Totals stay
-		// exact: the sub-window remainder is flushed when the worker exits.
-		poll := func() bool {
-			nn := nodes.Add(pollMask + 1)
-			if stop.get() != stopNone {
-				return false
-			}
-			if s := checkCtx(ctx); s != stopNone {
-				stop.set(s)
-				fr.Abort()
-				return false
-			}
-			inj.Disturb(ctx, ptNode)
-			if opts.MaxNodes > 0 && nn > int64(opts.MaxNodes) {
-				stop.set(stopBudget)
-				fr.Abort()
-				return false
-			}
-			return true
-		}
-		// dead flips when poll observes an abort; it is a plain per-worker
-		// bool so every recursion level can bail immediately without an
-		// atomic read per node.
-		dead := false
+	s := newSearch[coverTask, coverScratch](ctx, "setcover", "ilp.cover", opts, incumbent, 0)
+	best := s.best
+	s.run(coverTask{unc: uncovered.Clone()}, func(w *walker[coverTask, coverScratch], t coverTask) {
+		sc := &w.local
 		var dfs func(unc *bitset.Set, cur []int)
 		dfs = func(unc *bitset.Set, cur []int) {
-			if dead {
-				return
-			}
-			localNodes++
-			if localNodes&pollMask == 0 && !poll() {
-				dead = true
+			if !w.enter() {
 				return
 			}
 			if unc.Empty() {
-				inj.Disturb(ctx, ptIncumbent)
-				if best.offer(cur, 0) {
-					frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: "ilp.cover", Stage: "solve",
-						Detail: strconv.Itoa(len(cur)) + " sets", Value: incumbents.Add(1)})
-				}
+				w.offer(cur, 0)
 				return
 			}
 			if len(cur)+lowerBound(sub, unc) > best.bound() {
@@ -375,11 +279,11 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 				}
 			}
 			depth := len(cur)
-			for len(candScratch) <= depth {
-				candScratch = append(candScratch, candList{})
+			for len(sc.cands) <= depth {
+				sc.cands = append(sc.cands, candList{})
 			}
-			cands := append(candScratch[depth].idx[:0], coverOf[pickE]...)
-			gains := candScratch[depth].gain[:0]
+			cands := append(sc.cands[depth].idx[:0], coverOf[pickE]...)
+			gains := sc.cands[depth].gain[:0]
 			for _, si := range cands {
 				gains = append(gains, sub[si].IntersectionCount(unc))
 			}
@@ -394,8 +298,8 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 				}
 				cands[j+1], gains[j+1] = ci, gi
 			}
-			candScratch[depth] = candList{idx: cands, gain: gains}
-			if len(cands) > 1 && workers > 1 && fr.Hungry() {
+			sc.cands[depth] = candList{idx: cands, gain: gains}
+			if len(cands) > 1 && w.hungry() {
 				// Offload every sibling but the first; pushed in reverse
 				// so the LIFO pool hands them out in serial order.
 				for i := len(cands) - 1; i >= 1; i-- {
@@ -405,60 +309,34 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 					nc := make([]int, len(cur)+1)
 					copy(nc, cur)
 					nc[len(cur)] = si
-					fr.Push(id, coverTask{unc: nu, cur: nc})
+					w.push(coverTask{unc: nu, cur: nc})
 				}
 				cands = cands[:1]
 			}
 			for _, si := range cands {
-				next := uncAt(depth)
+				next := depthSet(&sc.unc, depth, universe.Len())
 				next.SetAndNot(unc, sub[si])
 				cur = append(cur, si)
 				dfs(next, cur)
 				cur = cur[:len(cur)-1]
 			}
 		}
-		for {
-			t, st, ok := fr.Pop(id)
-			if !ok {
-				break
-			}
-			if st {
-				stolen.Add(1)
-			}
-			dfs(t.unc, t.cur)
-		}
-		nodes.Add(localNodes & pollMask)
+		dfs(t.unc, t.cur)
 	})
-	stopped := stop.get()
-	rootLB := len(chosen) + lowerBound(sub, uncovered)
-	res.Nodes = int(nodes.Load())
-	res.Incumbents = int(incumbents.Load())
 
 	sel := append([]int(nil), chosen...)
 	for _, si := range best.snapshot() {
 		sel = append(sel, aliveIdx[si])
 	}
 	sort.Ints(sel)
-	res.Selected = sel
-	res.Optimal = stopped == stopNone
-	if !res.Optimal {
-		res.Degradation = fmerr.DegradeIncumbent
-		if total := len(sel); total > rootLB && total > 0 {
-			res.Gap = float64(total-rootLB) / float64(total)
-		}
-	}
-	recordSolve(ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
-	recordPool(ctx, workers, stolen.Load())
-	if stopped == stopCanceled {
-		return res, fmerr.Wrap(fmerr.StageSolve, "setcover", ctx.Err())
-	}
-	return res, nil
+	return s.result(sel, len(chosen)+lowerBound(sub, uncovered))
 }
 
-// lowerBound returns a valid lower bound on the number of additional sets
-// needed: every uncovered element must pay at least 1/|largest set
-// covering it|, so the sum of these shares rounded up is a bound; the
-// cheaper ⌈uncovered/maxGain⌉ bound is taken when stronger.
+// lowerBound returns ⌈|unc|/maxGain⌉, a lower bound on the number of
+// additional sets needed, where maxGain is the largest number of elements
+// of unc that any one set covers: each further set covers at most maxGain
+// of them. An uncoverable remainder (maxGain 0) returns a bound large
+// enough to prune the subtree.
 func lowerBound(sub []*bitset.Set, unc *bitset.Set) int {
 	maxGain := 0
 	for _, s := range sub {
@@ -471,6 +349,15 @@ func lowerBound(sub []*bitset.Set, unc *bitset.Set) int {
 	}
 	u := unc.Count()
 	return (u + maxGain - 1) / maxGain
+}
+
+// depthSet returns the depth-d set of a per-depth scratch stack, growing
+// the stack with empty n-bit sets as needed.
+func depthSet(stack *[]*bitset.Set, d, n int) *bitset.Set {
+	for len(*stack) <= d {
+		*stack = append(*stack, bitset.New(n))
+	}
+	return (*stack)[d]
 }
 
 func aliveList(alive []bool) []int {
@@ -536,35 +423,21 @@ type partialTask struct {
 }
 
 // PartialCover finds a minimum number of sets covering at least quota
-// elements of the universe (the Table III "cov ≥ x%" selection). Solved by
-// include/exclude branch-and-bound with a sum-of-largest-sets bound, run
-// on the same work-sharing frontier and deterministic incumbent
-// discipline as SetCover (Options.Workers; identical Selected for every
-// worker count). The context contract matches SetCover: deadline = soft
-// budget, cancellation = incumbent plus error.
+// elements of the universe (the Table III "cov ≥ x%" selection) by
+// include/exclude branch-and-bound with a sum-of-largest-sets bound. It
+// shares SetCover's search harness, determinism and context contract.
 func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, quota int, opts Options) (CoverResult, error) {
-	res := CoverResult{}
 	if quota <= 0 {
-		res.Optimal = true
-		return res, nil
+		return CoverResult{Optimal: true}, nil
 	}
 	incumbent, err := GreedyPartialCover(sets, universe, quota)
 	if err != nil {
 		return CoverResult{}, err
 	}
-	if err := chaos.Point(ctx, ptSolve); err != nil {
-		return CoverResult{}, fmerr.Wrap(fmerr.StageSolve, "partialcover", err)
-	}
-	// Entry check: see SetCover.
-	if s := checkCtx(ctx); s != stopNone {
-		res.Selected = incumbent
-		res.Gap = 1
-		res.Degradation = fmerr.DegradeIncumbent
-		recordSolve(ctx, 0, 0, false, 1)
-		if s == stopCanceled {
-			return res, fmerr.Wrap(fmerr.StageSolve, "partialcover", ctx.Err())
-		}
-		return res, nil
+	if res, done, err := begin(ctx, "partialcover", func() ([]int, error) {
+		return incumbent, nil
+	}); done {
+		return res, err
 	}
 
 	// Restrict sets to the universe once; sizes are static afterwards, so
@@ -597,72 +470,15 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 		prefix[i+1] = prefix[i] + int64(size[oi])
 	}
 
-	workers := par.ClampWorkers(opts.Workers)
 	seedCov := bitset.New(universe.Len())
 	for _, si := range incumbent {
 		seedCov.Or(sub[si])
 	}
-	best := newBestList(incumbent, seedCov.Count())
-	frec := obs.From(ctx).Flight()
-	// The injector travels in the context and never changes mid-solve;
-	// resolving it once keeps the per-incumbent disturb off the
-	// context-chain walk (nil injectors are valid no-ops).
-	inj := chaos.From(ctx)
-	var (
-		nodes, incumbents, stolen atomic.Int64
-		stop                      stopFlag
-	)
-	fr := par.NewFrontier[partialTask](workers)
-	fr.Push(0, partialTask{covered: bitset.New(universe.Len())})
-	par.Run(workers, func(id int) {
-		defer func() {
-			if r := recover(); r != nil {
-				fr.Abort()
-				panic(r)
-			}
-		}()
-		// Per-depth scratch: include children at selection depth d always
-		// finish before the parent includes again at the same depth, so one
-		// covered set per depth replaces the per-node Clone that dominated
-		// the allocation profile. Values are identical to the cloning
-		// version; only the storage is reused.
-		var covScratch []*bitset.Set
-		covAt := func(d int) *bitset.Set {
-			for len(covScratch) <= d {
-				covScratch = append(covScratch, bitset.New(universe.Len()))
-			}
-			return covScratch[d]
-		}
-		localNodes := int64(0)
-		// poll is the once-per-window slow path of node accounting: flush
-		// the local tally into the shared atomic, notice peer aborts, poll
-		// the context and the node budget. Stop reasons only arise on abort
-		// paths (cancellation, budget), so checking them per window instead
-		// of per node leaves the deterministic no-abort search untouched;
-		// node totals stay exact because the sub-window remainder is
-		// flushed when the worker exits.
-		poll := func() bool {
-			nn := nodes.Add(pollMask + 1)
-			if stop.get() != stopNone {
-				return false
-			}
-			if s := checkCtx(ctx); s != stopNone {
-				stop.set(s)
-				fr.Abort()
-				return false
-			}
-			inj.Disturb(ctx, ptNode)
-			if opts.MaxNodes > 0 && nn > int64(opts.MaxNodes) {
-				stop.set(stopBudget)
-				fr.Abort()
-				return false
-			}
-			return true
-		}
-		// dead flips when poll observes an abort; it is a plain per-worker
-		// bool so every recursion level can bail immediately without an
-		// atomic read per node.
-		dead := false
+	// Per-worker scratch: include children at depth d finish before the
+	// parent includes again at d, so one covered set per depth suffices.
+	s := newSearch[partialTask, []*bitset.Set](ctx, "partialcover", "ilp.partial", opts, incumbent, seedCov.Count())
+	best := s.best
+	s.run(partialTask{covered: bitset.New(universe.Len())}, func(w *walker[partialTask, []*bitset.Set], t partialTask) {
 		// The exclude branch is tail-recursive (same covered set, next
 		// position), so it runs as a loop; each iteration is one node. The
 		// include branch recurses when "take order[pos]" has a positive
@@ -678,20 +494,11 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 			// fresh search would pay O(log) every time.
 			m := pos + 1
 			for {
-				if dead {
-					return
-				}
-				localNodes++
-				if localNodes&pollMask == 0 && !poll() {
-					dead = true
+				if !w.enter() {
 					return
 				}
 				if cnt >= quota {
-					inj.Disturb(ctx, ptIncumbent)
-					if best.offer(cur, cnt) {
-						frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: "ilp.partial", Stage: "solve",
-							Detail: strconv.Itoa(len(cur)) + " sets", Value: incumbents.Add(1)})
-					}
+					w.offer(cur, cnt)
 					return
 				}
 				bnd := best.bound()
@@ -715,66 +522,37 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 					return
 				}
 				si := order[pos]
-				if workers > 1 && fr.Hungry() {
-					// Offload the exclude subtree, recurse include locally
-					// (serial order is include first).
-					fr.Push(id, partialTask{
+				// Under a hungry pool the exclude subtree is offloaded and
+				// include recursed locally (serial order is include first).
+				offload := w.hungry()
+				if offload {
+					w.push(partialTask{
 						pos:     pos + 1,
 						cur:     append([]int(nil), cur...),
 						covered: covered.Clone(),
 						cnt:     cnt,
 					})
-					if marginal := sub[si].AndNotCount(covered); marginal > 0 {
-						nc := covAt(len(cur))
-						nc.SetOr(covered, sub[si])
-						dfs(pos+1, append(cur, si), nc, cnt+marginal)
-					}
-					return
 				}
 				if marginal := sub[si].AndNotCount(covered); marginal > 0 {
-					nc := covAt(len(cur))
+					nc := depthSet(&w.local, len(cur), universe.Len())
 					nc.SetOr(covered, sub[si])
 					cur = append(cur, si)
 					dfs(pos+1, cur, nc, cnt+marginal)
 					cur = cur[:len(cur)-1]
 				}
+				if offload {
+					return
+				}
 				pos++ // exclude order[pos]: same covered set, next position
 			}
 		}
-		for {
-			t, st, ok := fr.Pop(id)
-			if !ok {
-				break
-			}
-			if st {
-				stolen.Add(1)
-			}
-			dfs(t.pos, t.cur, t.covered, t.cnt)
-		}
-		nodes.Add(localNodes & pollMask)
+		dfs(t.pos, t.cur, t.covered, t.cnt)
 	})
-	stopped := stop.get()
 	// Root bound for the exit gap: covering the quota needs at least as
 	// many sets as the largest-first size prefix reaching it.
-	rootLB, gain := 0, 0
-	for i := 0; i < len(order) && gain < quota; i++ {
-		gain += sub[order[i]].Count()
+	rootLB := 0
+	for rootLB < len(order) && prefix[rootLB] < int64(quota) {
 		rootLB++
 	}
-	res.Nodes = int(nodes.Load())
-	res.Incumbents = int(incumbents.Load())
-	res.Selected = best.snapshot()
-	res.Optimal = stopped == stopNone
-	if !res.Optimal {
-		res.Degradation = fmerr.DegradeIncumbent
-		if total := len(res.Selected); total > rootLB && total > 0 {
-			res.Gap = float64(total-rootLB) / float64(total)
-		}
-	}
-	recordSolve(ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
-	recordPool(ctx, workers, stolen.Load())
-	if stopped == stopCanceled {
-		return res, fmerr.Wrap(fmerr.StageSolve, "partialcover", ctx.Err())
-	}
-	return res, nil
+	return s.result(best.snapshot(), rootLB)
 }

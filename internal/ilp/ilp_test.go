@@ -3,7 +3,6 @@ package ilp
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -26,117 +25,6 @@ func full(n int) *bitset.Set {
 		s.Add(i)
 	}
 	return s
-}
-
-func TestSolveLPSimple(t *testing.T) {
-	// minimize x0 + x1 s.t. x0 + x1 >= 1: LP optimum 1.
-	m := NewModel(2)
-	m.AddAtLeastOne([]int{0, 1})
-	v, x, st := SolveLP(m, nil)
-	if st != LPOptimal {
-		t.Fatalf("status = %v", st)
-	}
-	if math.Abs(v-1) > 1e-6 {
-		t.Fatalf("LP value = %f, want 1", v)
-	}
-	if math.Abs(x[0]+x[1]-1) > 1e-6 {
-		t.Fatalf("x = %v", x)
-	}
-}
-
-func TestSolveLPFractional(t *testing.T) {
-	// Odd cycle cover: pairwise constraints force the half-integral LP
-	// optimum 1.5 < integer optimum 2.
-	m := NewModel(3)
-	m.AddAtLeastOne([]int{0, 1})
-	m.AddAtLeastOne([]int{1, 2})
-	m.AddAtLeastOne([]int{0, 2})
-	v, _, st := SolveLP(m, nil)
-	if st != LPOptimal {
-		t.Fatalf("status = %v", st)
-	}
-	if math.Abs(v-1.5) > 1e-6 {
-		t.Fatalf("LP value = %f, want 1.5", v)
-	}
-}
-
-func TestSolveLPInfeasible(t *testing.T) {
-	// x0 >= 1 and x0 <= 0 conflict... model via LE/GE on the same var.
-	m := NewModel(1)
-	m.Add([]Term{{Var: 0, Coef: 1}}, GE, 1)
-	m.Add([]Term{{Var: 0, Coef: 1}}, LE, 0)
-	if _, _, st := SolveLP(m, nil); st != LPInfeasible {
-		t.Fatalf("status = %v, want infeasible", st)
-	}
-	// Unsatisfiable within bounds: x0 >= 2 with x0 <= 1.
-	m2 := NewModel(1)
-	m2.Add([]Term{{Var: 0, Coef: 1}}, GE, 2)
-	if _, _, st := SolveLP(m2, nil); st != LPInfeasible {
-		t.Fatalf("status = %v, want infeasible (bound)", st)
-	}
-}
-
-func TestSolveLPEquality(t *testing.T) {
-	// x0 + x1 = 1, minimize 2·x0 + x1 → x1 = 1.
-	m := NewModel(2)
-	m.Obj = []float64{2, 1}
-	m.Add([]Term{{0, 1}, {1, 1}}, EQ, 1)
-	v, x, st := SolveLP(m, nil)
-	if st != LPOptimal || math.Abs(v-1) > 1e-6 || math.Abs(x[1]-1) > 1e-6 {
-		t.Fatalf("v=%f x=%v st=%v", v, x, st)
-	}
-}
-
-func TestSolveLPWithFixed(t *testing.T) {
-	m := NewModel(2)
-	m.AddAtLeastOne([]int{0, 1})
-	fixed := []int8{0, -1} // x0 = 0 → x1 must be 1
-	v, x, st := SolveLP(m, fixed)
-	if st != LPOptimal || math.Abs(v-1) > 1e-6 || math.Abs(x[1]-1) > 1e-6 {
-		t.Fatalf("v=%f x=%v st=%v", v, x, st)
-	}
-	fixed = []int8{1, -1} // x0 = 1 → x1 free at 0
-	v, x, st = SolveLP(m, fixed)
-	if st != LPOptimal || math.Abs(v-1) > 1e-6 || x[0] != 1 {
-		t.Fatalf("v=%f x=%v st=%v", v, x, st)
-	}
-}
-
-func TestSolveGenericOddCycle(t *testing.T) {
-	m := NewModel(3)
-	m.AddAtLeastOne([]int{0, 1})
-	m.AddAtLeastOne([]int{1, 2})
-	m.AddAtLeastOne([]int{0, 2})
-	sol, err := Solve(context.Background(), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Found || !sol.Optimal || sol.Degradation != fmerr.DegradeNone {
-		t.Fatalf("sol = %+v", sol)
-	}
-	if sol.Value != 2 {
-		t.Fatalf("integer optimum = %f, want 2", sol.Value)
-	}
-	if !m.Feasible(sol.X) {
-		t.Fatal("solution infeasible")
-	}
-}
-
-func TestSolveGenericWithLEConstraint(t *testing.T) {
-	// Partial-cover-shaped model: y_i ≤ Σ covering x_j, Σ y_i ≥ 1.
-	// 2 sets, 2 elements; covering either element suffices.
-	m := NewModel(4) // x0,x1 sets; y0,y1 elements
-	m.Obj = []float64{1, 1, 0, 0}
-	m.Add([]Term{{2, 1}, {0, -1}}, LE, 0) // y0 ≤ x0
-	m.Add([]Term{{3, 1}, {1, -1}}, LE, 0) // y1 ≤ x1
-	m.Add([]Term{{2, 1}, {3, 1}}, GE, 1)  // cover at least one element
-	sol, err := Solve(context.Background(), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Found || sol.Value != 1 {
-		t.Fatalf("sol = %+v", sol)
-	}
 }
 
 // bruteForceCover finds the true minimum cover size by enumeration.
@@ -204,15 +92,6 @@ func TestSetCoverMatchesBruteForce(t *testing.T) {
 		}
 		if len(g) < want {
 			t.Fatalf("trial %d: greedy beat the optimum?!", trial)
-		}
-		// Cross-check with the generic ILP solver on the paper's model.
-		model := CoverModel(sets, universe)
-		sol, err := Solve(context.Background(), model, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sol.Found || int(sol.Value+0.5) != want {
-			t.Fatalf("trial %d: generic ILP got %f, want %d", trial, sol.Value, want)
 		}
 	}
 }
@@ -420,28 +299,6 @@ func TestPartialCoverQuotaUnreachable(t *testing.T) {
 	}
 }
 
-func TestModelValidateAndFeasible(t *testing.T) {
-	m := NewModel(2)
-	m.Add([]Term{{Var: 5, Coef: 1}}, GE, 1)
-	if err := m.Validate(); err == nil {
-		t.Fatal("expected validation error")
-	}
-	m2 := NewModel(2)
-	m2.AddAtLeastOne([]int{0, 1})
-	if m2.Feasible([]bool{false, false}) {
-		t.Fatal("infeasible assignment accepted")
-	}
-	if !m2.Feasible([]bool{true, false}) {
-		t.Fatal("feasible assignment rejected")
-	}
-	if m2.Value([]bool{true, true}) != 2 {
-		t.Fatal("value wrong")
-	}
-	if GE.String() != ">=" || LE.String() != "<=" || EQ.String() != "=" || Op(9).String() != "?" {
-		t.Fatal("Op strings")
-	}
-}
-
 func TestGreedyCoverUncoverableError(t *testing.T) {
 	sel, err := GreedyCover([]*bitset.Set{mkset(2, 0)}, full(2))
 	if err == nil {
@@ -452,50 +309,6 @@ func TestGreedyCoverUncoverableError(t *testing.T) {
 	}
 	if fmerr.StageOf(err) != fmerr.StageSolve {
 		t.Fatalf("error not stage-attributed: %v", err)
-	}
-}
-
-func TestSolveLPTooLargeFallsBackToDFS(t *testing.T) {
-	// A model exceeding the dense-tableau guard: Solve must still find
-	// the optimum via plain DFS. 20 variables with 1500 duplicated
-	// singleton cover constraints blow past lpMaxCells while keeping the
-	// DFS tractable (all variables forced to 1).
-	n := 20
-	m := NewModel(n)
-	for r := 0; r < 1500; r++ {
-		m.AddAtLeastOne([]int{r % n})
-	}
-	if _, _, st := SolveLP(m, nil); st != LPTooLarge {
-		t.Fatalf("instance unexpectedly fits the tableau (status %v)", st)
-	}
-	// The 1-first DFS finds the all-ones optimum immediately; cap the
-	// exhaustive 0-branch exploration (2^20 leaves) with a node budget.
-	sol, err := Solve(context.Background(), m, Options{MaxNodes: 50000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Found || sol.Value != float64(n) {
-		t.Fatalf("DFS fallback sol = %+v", sol)
-	}
-	if sol.Degradation != fmerr.DegradeIncumbent {
-		t.Fatalf("node-capped solve must report the incumbent rung: %+v", sol)
-	}
-	if !m.Feasible(sol.X) {
-		t.Fatal("DFS solution infeasible")
-	}
-}
-
-func TestSolveMaxNodesIncumbent(t *testing.T) {
-	m := NewModel(6)
-	m.AddAtLeastOne([]int{0, 1})
-	m.AddAtLeastOne([]int{2, 3})
-	m.AddAtLeastOne([]int{4, 5})
-	sol, err := Solve(context.Background(), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Found || sol.Value != 3 || !sol.Optimal {
-		t.Fatalf("sol = %+v", sol)
 	}
 }
 

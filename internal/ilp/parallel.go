@@ -1,21 +1,10 @@
 package ilp
 
 import (
-	"context"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"fastmon/internal/obs"
 )
-
-// eps is the float tolerance of the generic solver's incumbent and bound
-// comparisons. Subtrees are pruned only when their bound is strictly worse
-// than the incumbent by more than eps, so equal-value optima stay
-// reachable and the lexicographic tie-break below picks the same one
-// regardless of worker count.
-const eps = 1e-9
 
 // stopFlag is the shared early-stop state of a parallel search. The first
 // reason wins; later calls are no-ops, so a budget expiry and a
@@ -107,73 +96,4 @@ func lexLess(a, b []int) bool {
 		}
 	}
 	return len(a) < len(b)
-}
-
-// bestSol is the shared incumbent of the generic 0-1 solver: the best
-// objective value as atomic float bits for lock-free bound reads, and a
-// mutex-guarded assignment vector with the same deterministic tie-break
-// discipline as bestList — strictly smaller value wins, values within eps
-// fall back to lexicographic comparison of the bool vector (false < true).
-type bestSol struct {
-	mu    sync.Mutex
-	bits  atomic.Uint64
-	x     []bool
-	found bool
-}
-
-func newBestSol() *bestSol {
-	b := &bestSol{}
-	b.bits.Store(math.Float64bits(math.Inf(1)))
-	return b
-}
-
-// val returns the current incumbent value (possibly stale — only ever an
-// overestimate of the final value, so pruning against it is safe).
-func (b *bestSol) val() float64 { return math.Float64frombits(b.bits.Load()) }
-
-// offer publishes a feasible point and reports whether it replaced the
-// incumbent.
-func (b *bestSol) offer(x []bool, v float64) bool {
-	if v > b.val()+eps {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur := math.Float64frombits(b.bits.Load())
-	take := !b.found || v < cur-eps
-	if !take && v <= cur+eps && lexLessBool(x, b.x) {
-		take = true
-	}
-	if !take {
-		return false
-	}
-	b.x = append(b.x[:0], x...)
-	b.found = true
-	b.bits.Store(math.Float64bits(v))
-	return true
-}
-
-// lexLessBool orders equal-length bool vectors with false < true.
-func lexLessBool(a, b []bool) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return !a[i]
-		}
-	}
-	return false
-}
-
-// recordPool rolls one parallel solve's pool stats into the observer: the
-// resolved worker count and how many frontier subproblems were executed
-// by a worker other than the one that produced them.
-func recordPool(ctx context.Context, workers int, stolen int64) {
-	o := obs.From(ctx)
-	if o == nil {
-		return
-	}
-	o.Gauge("ilp.workers").Set(float64(workers))
-	o.Counter("ilp.nodes_stolen").Add(stolen)
 }

@@ -2,7 +2,6 @@ package ilp
 
 import (
 	"context"
-	"math"
 	"strconv"
 	"sync/atomic"
 
@@ -16,22 +15,24 @@ import (
 // Chaos injection points of the solvers: an error-capable point at solve
 // entry, and panic/delay-only disturbances (the dfs has no error return
 // path) at node expansion and incumbent publication. An injected panic
-// rides the existing worker recover → fr.Abort → re-panic path, so it
-// exercises the same isolation machinery a real solver bug would.
+// rides the worker recover → stop + fr.Abort → re-panic path of
+// search.run, so it exercises the same isolation a real solver bug would.
 var (
 	ptSolve     = chaos.Register("ilp.solve", fmerr.StageSolve)
 	ptNode      = chaos.Register("ilp.node", fmerr.StageSolve)
 	ptIncumbent = chaos.Register("ilp.incumbent", fmerr.StageSolve)
 )
 
-// Options controls the solvers. The solver time budget is carried by the
-// context: pass a context with a deadline to mirror the paper's 1-hour
-// solver timeout. An expired deadline aborts the search and returns the
-// best incumbent found so far (Optimal=false, Degradation=incumbent);
-// outright cancellation additionally returns the context error so callers
-// can distinguish "budget spent, result degraded" from "stop everything".
+// Options controls the covering solvers, SetCover and PartialCover. The
+// solver time budget is carried by the context: pass a context with a
+// deadline to mirror the paper's 1-hour solver timeout. An expired
+// deadline aborts the search and returns the best incumbent found so far
+// (Optimal=false, Degradation=incumbent); outright cancellation
+// additionally returns the context error so callers can distinguish
+// "budget spent, result degraded" from "stop everything".
 type Options struct {
-	// MaxNodes bounds the branch-and-bound tree (0 = unlimited).
+	// MaxNodes bounds the branch-and-bound tree (0 = unlimited). It is
+	// checked once per poll window and degrades like a spent deadline.
 	MaxNodes int
 	// Workers bounds the branch-and-bound worker pool; zero or negative
 	// means one worker per CPU (par.ClampWorkers). Completed solves are
@@ -56,6 +57,7 @@ const (
 	stopNone     stopReason = iota
 	stopBudget              // deadline expired or node cap hit: degrade, no error
 	stopCanceled            // context canceled: degrade and report the error
+	stopPanicked            // a worker panicked: peers bail, the panic reaches the caller
 )
 
 // checkCtx maps the context state to a stop reason. An expired deadline is
@@ -70,24 +72,6 @@ func checkCtx(ctx context.Context) stopReason {
 	default: // context.DeadlineExceeded
 		return stopBudget
 	}
-}
-
-// Solution is the result of a solve.
-type Solution struct {
-	X       []bool
-	Value   float64
-	Optimal bool // proven optimal
-	Nodes   int  // branch-and-bound nodes expanded
-	Found   bool // a feasible solution exists in X
-	// Incumbents counts incumbent improvements during the search.
-	Incumbents int
-	// Gap is the relative bound gap at exit, (Value - rootBound)/Value:
-	// zero when optimality was proven, the residual uncertainty after a
-	// budget abort otherwise.
-	Gap float64
-	// Degradation reports the result-quality rung: exact when optimality
-	// was proven, incumbent after a budget abort.
-	Degradation fmerr.Degradation
 }
 
 // recordSolve rolls one exact solve's effort into the context observer:
@@ -109,228 +93,203 @@ func recordSolve(ctx context.Context, nodes, incumbents int, optimal bool, gap f
 	}
 }
 
-// solveTask is one subproblem of the generic search: a partial 0-1
-// assignment (own copy per task) and the objective cost fixed so far.
-type solveTask struct {
-	fixed []int8
-	cost  float64
+// begin is the entry protocol of a covering solve: the ilp.solve chaos
+// point, then the entry budget check. With the budget already spent (or
+// the flow cancelled) the greedy cover is the whole result and done is
+// true; op names the solver in wrapped errors.
+func begin(ctx context.Context, op string, greedy func() ([]int, error)) (res CoverResult, done bool, err error) {
+	if err := chaos.Point(ctx, ptSolve); err != nil {
+		return res, true, fmerr.Wrap(fmerr.StageSolve, op, err)
+	}
+	s := checkCtx(ctx)
+	if s == stopNone {
+		return res, false, nil
+	}
+	if res.Selected, err = greedy(); err != nil {
+		return CoverResult{}, true, err
+	}
+	res.Gap, res.Degradation = 1, fmerr.DegradeIncumbent
+	recordSolve(ctx, 0, 0, false, 1)
+	if s == stopCanceled {
+		err = fmerr.Wrap(fmerr.StageSolve, op, ctx.Err())
+	}
+	return res, true, err
 }
 
-// Solve runs branch-and-bound on a generic 0-1 model over a work-sharing
-// frontier (see par.Frontier): each worker expands subproblems
-// depth-first, offloading sibling subtrees when the pool runs hungry. The
-// LP relaxation (when the instance fits the dense simplex) provides
-// bounds and the branching variable; otherwise the search degrades to
-// plain DFS with cost-based pruning. Intended for the moderate-size
-// models the scheduler produces per frequency; the covering fast path
-// lives in SetCover.
-//
-// The context is polled every few nodes: an expired deadline returns the
-// best incumbent with a nil error, cancellation returns the incumbent
-// found so far together with a stage-attributed error wrapping
-// context.Canceled.
-func Solve(ctx context.Context, m *Model, opts Options) (Solution, error) {
-	if err := m.Validate(); err != nil {
-		return Solution{Value: math.Inf(1)}, fmerr.Wrap(fmerr.StageSolve, "model", err)
-	}
-	if err := chaos.Point(ctx, ptSolve); err != nil {
-		return Solution{Value: math.Inf(1)}, fmerr.Wrap(fmerr.StageSolve, "solve", err)
-	}
-	// Entry check: the generic solver has no cheap incumbent to fall back
-	// on, so a spent context yields an empty degraded solution.
-	if s := checkCtx(ctx); s != stopNone {
-		sol := Solution{Value: math.Inf(1), Gap: 1, Degradation: fmerr.DegradeIncumbent}
-		recordSolve(ctx, 0, 0, false, 1)
-		if s == stopCanceled {
-			return sol, fmerr.Wrap(fmerr.StageSolve, "solve", ctx.Err())
-		}
-		return sol, nil
-	}
-	n := m.NumVars()
+// search is the branch-and-bound harness shared by SetCover and
+// PartialCover: the frontier of tasks T, the shared incumbent, the
+// tallies and stop flag, the worker pool with its panic isolation, and
+// the CoverResult. A solver supplies its task type, its per-worker
+// scratch type L, an expand function (branching and bound), the
+// selection and the root bound.
+type search[T, L any] struct {
+	budget
+	op      string // solver name in wrapped errors
+	event   string // flight event name of incumbent publications
+	workers int
+	fr      *par.Frontier[T]
+	best    *bestList
+	frec    *flight.Recorder
+
+	incumbents, stolen atomic.Int64
+}
+
+// budget is the part of a search that the per-node accounting reads. It
+// is not generic, so meter.enter stays within the inlining budget (the
+// generic shape instantiation of the same method does not).
+type budget struct {
+	ctx      context.Context
+	inj      *chaos.Injector // resolved once; nil is a valid no-op
+	maxNodes int64
+	pool     interface{ Abort() } // the frontier, drained on a stop
+	nodes    atomic.Int64
+	stop     stopFlag
+}
+
+// newSearch prepares a search seeded with a sorted incumbent and its
+// score (see bestList).
+func newSearch[T, L any](ctx context.Context, op, event string, opts Options, seed []int, score int) *search[T, L] {
 	workers := par.ClampWorkers(opts.Workers)
-	// frec journals incumbent publications (nil-safe no-op when the run
-	// carries no flight recorder).
-	frec := obs.From(ctx).Flight()
-	best := newBestSol()
-	var (
-		nodes, incumbents, stolen atomic.Int64
-		stop                      stopFlag
-	)
-	rootBound := math.Inf(-1) // written only while expanding node 1
-
-	fr := par.NewFrontier[solveTask](workers)
-	root := make([]int8, n)
-	for i := range root {
-		root[i] = -1
+	fr := par.NewFrontier[T](workers)
+	return &search[T, L]{
+		budget:  budget{ctx: ctx, inj: chaos.From(ctx), maxNodes: int64(opts.MaxNodes), pool: fr},
+		op:      op,
+		event:   event,
+		workers: workers,
+		fr:      fr,
+		best:    newBestList(seed, score),
+		frec:    obs.From(ctx).Flight(),
 	}
-	fr.Push(0, solveTask{fixed: root})
+}
 
-	par.Run(workers, func(id int) {
+// meter is one worker's node accounting. dead flips when poll observes a
+// stop; as a plain per-worker bool it lets every recursion level bail
+// without an atomic read per node.
+type meter struct {
+	b     *budget
+	nodes int64
+	dead  bool
+}
+
+// enter accounts one node and reports whether to expand it. It is the
+// whole per-node cost of the harness and is inlined into the solvers'
+// dfs; the shared atomics are touched only by poll, once per pollMask+1
+// nodes.
+func (m *meter) enter() bool {
+	if m.dead {
+		return false
+	}
+	m.nodes++
+	return m.nodes&pollMask != 0 || m.poll()
+}
+
+// poll is the once-per-window slow path: flush the window into the shared
+// tally, notice peer stops, check the context and the node cap. Stops
+// only arise on abort paths, so the no-abort search is untouched; totals
+// stay exact because run flushes the sub-window remainder.
+func (m *meter) poll() bool {
+	b := m.b
+	nn := b.nodes.Add(pollMask + 1)
+	if b.stop.get() == stopNone {
+		r := checkCtx(b.ctx)
+		if r == stopNone {
+			b.inj.Disturb(b.ctx, ptNode)
+			if b.maxNodes > 0 && nn > b.maxNodes {
+				r = stopBudget
+			}
+		}
+		if r == stopNone {
+			return true
+		}
+		b.stop.set(r)
+		b.pool.Abort()
+	}
+	m.dead = true
+	return false
+}
+
+// walker is one worker's handle on a search: its meter, its scratch, and
+// the frontier and incumbent operations an expand function needs.
+type walker[T, L any] struct {
+	meter
+	s     *search[T, L]
+	id    int
+	local L // the solver's per-worker scratch, zero at start
+}
+
+// hungry reports whether to offload sibling subtrees now: the pool has
+// more than one worker and is running low (par.Frontier.Hungry).
+func (w *walker[T, L]) hungry() bool { return w.s.workers > 1 && w.s.fr.Hungry() }
+
+// push offloads a subproblem to the frontier.
+func (w *walker[T, L]) push(t T) { w.s.fr.Push(w.id, t) }
+
+// offer publishes a leaf selection with its score as a candidate
+// incumbent.
+func (w *walker[T, L]) offer(cur []int, score int) {
+	s := w.s
+	s.inj.Disturb(s.ctx, ptIncumbent)
+	if s.best.offer(cur, score) {
+		s.frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: s.event, Stage: "solve",
+			Detail: strconv.Itoa(len(cur)) + " sets", Value: s.incumbents.Add(1)})
+	}
+}
+
+// run seeds the frontier with root and works it off, calling expand for
+// every task a worker pops. A panicking worker sets the stop flag, so
+// peers leave their subtrees at the next poll, and aborts the frontier, so
+// no peer is stranded in Pop; par.Run then re-raises the panic in the
+// caller.
+func (s *search[T, L]) run(root T, expand func(w *walker[T, L], t T)) {
+	s.fr.Push(0, root)
+	par.Run(s.workers, func(id int) {
 		defer func() {
-			// A worker dying mid-search must not strand its peers in Pop.
 			if r := recover(); r != nil {
-				fr.Abort()
+				s.stop.set(stopPanicked)
+				s.fr.Abort()
 				panic(r)
 			}
 		}()
-		var rec func(fixed []int8, cost float64)
-		// branch expands both children of variable i. The serial order
-		// tries 1 before 0 (covering problems benefit from optimistic
-		// inclusion); under a hungry pool the 0-subtree is offloaded and
-		// the 1-subtree recursed locally, preserving that order.
-		branch := func(fixed []int8, i int, cost float64) {
-			if workers > 1 && fr.Hungry() {
-				off := append([]int8(nil), fixed...)
-				off[i] = 0
-				fr.Push(id, solveTask{fixed: off, cost: cost})
-				fixed[i] = 1
-				rec(fixed, cost+m.Obj[i])
-				fixed[i] = -1
-				return
-			}
-			for _, v := range []int8{1, 0} {
-				fixed[i] = v
-				rec(fixed, cost+float64(v)*m.Obj[i])
-				fixed[i] = -1
-			}
-		}
-		rec = func(fixed []int8, cost float64) {
-			if stop.get() != stopNone {
-				return
-			}
-			nn := nodes.Add(1)
-			if opts.MaxNodes > 0 && nn > int64(opts.MaxNodes) {
-				stop.set(stopBudget)
-				fr.Abort()
-				return
-			}
-			if nn&pollMask == 0 {
-				if s := checkCtx(ctx); s != stopNone {
-					stop.set(s)
-					fr.Abort()
-					return
-				}
-				chaos.Disturb(ctx, ptNode)
-			}
-			if cost > best.val()+eps {
-				return
-			}
-			lpVal, lpX, status := SolveLP(m, fixed)
-			switch status {
-			case LPInfeasible:
-				return
-			case LPOptimal:
-				if nn == 1 {
-					rootBound = lpVal // root relaxation: global lower bound
-				}
-				if lpVal > best.val()+eps {
-					return
-				}
-				frac, fracAmt := -1, 0.0
-				for i := 0; i < n; i++ {
-					if fixed[i] >= 0 {
-						continue
-					}
-					f := math.Abs(lpX[i] - math.Round(lpX[i]))
-					if f > fracAmt {
-						frac, fracAmt = i, f
-					}
-				}
-				if frac < 0 || fracAmt < 1e-7 {
-					// Integral LP solution: accept directly.
-					x := make([]bool, n)
-					for i := 0; i < n; i++ {
-						if fixed[i] == 1 || (fixed[i] < 0 && lpX[i] > 0.5) {
-							x[i] = true
-						}
-					}
-					if m.Feasible(x) {
-						chaos.Disturb(ctx, ptIncumbent)
-						if v := m.Value(x); best.offer(x, v) {
-							frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: "ilp.solve", Stage: "solve",
-								Detail: strconv.FormatFloat(v, 'g', -1, 64), Value: incumbents.Add(1)})
-						}
-						return
-					}
-					// Rounding broke feasibility (degenerate): fall through
-					// to branching on the first free variable.
-					frac = firstFree(fixed)
-					if frac < 0 {
-						return
-					}
-				}
-				branch(fixed, frac, cost)
-			case LPTooLarge:
-				// No relaxation available: plain DFS.
-				i := firstFree(fixed)
-				if i < 0 {
-					x := make([]bool, n)
-					for j := range x {
-						x[j] = fixed[j] == 1
-					}
-					if m.Feasible(x) {
-						chaos.Disturb(ctx, ptIncumbent)
-						if v := m.Value(x); best.offer(x, v) {
-							frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: "ilp.solve", Stage: "solve",
-								Detail: strconv.FormatFloat(v, 'g', -1, 64), Value: incumbents.Add(1)})
-						}
-					}
-					return
-				}
-				branch(fixed, i, cost)
-			}
-		}
+		w := &walker[T, L]{meter: meter{b: &s.budget}, s: s, id: id}
 		for {
-			t, st, ok := fr.Pop(id)
+			t, st, ok := s.fr.Pop(id)
 			if !ok {
-				return
+				break
 			}
 			if st {
-				stolen.Add(1)
+				s.stolen.Add(1)
 			}
-			rec(t.fixed, t.cost)
+			expand(w, t)
 		}
+		s.nodes.Add(w.nodes & pollMask)
 	})
-
-	stopped := stop.get()
-	sol := Solution{Nodes: int(nodes.Load()), Incumbents: int(incumbents.Load())}
-	best.mu.Lock()
-	sol.Found = best.found
-	if best.found {
-		sol.X = append([]bool(nil), best.x...)
-		sol.Value = best.val()
-	} else {
-		sol.Value = math.Inf(1)
-	}
-	best.mu.Unlock()
-	sol.Optimal = sol.Found && stopped == stopNone
-	if stopped != stopNone {
-		sol.Degradation = fmerr.DegradeIncumbent
-	}
-	if !sol.Optimal && sol.Found {
-		switch {
-		case math.IsInf(rootBound, -1) || sol.Value <= 0:
-			sol.Gap = 1 // no usable bound: fully unresolved
-		default:
-			sol.Gap = (sol.Value - rootBound) / sol.Value
-			if sol.Gap < 0 {
-				sol.Gap = 0
-			}
-		}
-	}
-	recordSolve(ctx, sol.Nodes, sol.Incumbents, sol.Optimal, sol.Gap)
-	recordPool(ctx, workers, stolen.Load())
-	if stopped == stopCanceled {
-		return sol, fmerr.Wrap(fmerr.StageSolve, "solve", ctx.Err())
-	}
-	return sol, nil
 }
 
-func firstFree(fixed []int8) int {
-	for i, f := range fixed {
-		if f < 0 {
-			return i
+// result turns the finished search into a CoverResult for the final
+// selection sel (sorted ascending): optimal unless a stop reason was
+// recorded, in which case the gap is measured against the root lower
+// bound rootLB. It records the solve's effort and wraps a cancellation.
+func (s *search[T, L]) result(sel []int, rootLB int) (CoverResult, error) {
+	stopped := s.stop.get()
+	res := CoverResult{
+		Selected:   sel,
+		Optimal:    stopped == stopNone,
+		Nodes:      int(s.nodes.Load()),
+		Incumbents: int(s.incumbents.Load()),
+	}
+	if !res.Optimal {
+		res.Degradation = fmerr.DegradeIncumbent
+		if total := len(sel); total > rootLB && total > 0 {
+			res.Gap = float64(total-rootLB) / float64(total)
 		}
 	}
-	return -1
+	recordSolve(s.ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
+	if o := obs.From(s.ctx); o != nil {
+		o.Gauge("ilp.workers").Set(float64(s.workers))
+		o.Counter("ilp.nodes_stolen").Add(s.stolen.Load())
+	}
+	if stopped == stopCanceled {
+		return res, fmerr.Wrap(fmerr.StageSolve, s.op, s.ctx.Err())
+	}
+	return res, nil
 }
