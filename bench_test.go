@@ -104,7 +104,7 @@ func BenchmarkTableIII(b *testing.B) {
 	r := benchRun(b, "s9234")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		row, _, err := exper.TableIII(context.Background(), r)
+		row, _, _, err := exper.TableIII(context.Background(), r)
 		if err != nil {
 			b.Fatal(err)
 		}

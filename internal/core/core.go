@@ -39,10 +39,10 @@ var (
 // ClampWorkers resolves a configured worker count to [1, GOMAXPROCS]:
 // zero and negative values mean "use every CPU", larger requests are cut
 // down instead of oversubscribing the scheduler. Every parallel stage —
-// fault simulation (detect), schedule construction (schedule/ilp) and the
-// experiment suite (exper) — applies this same rule; the implementation
-// lives in the dependency-order leaf package internal/par so those
-// packages can share it without importing core.
+// ATPG, fault simulation (detect) and the experiment suite (exper) —
+// applies this same rule; the implementation lives in the
+// dependency-order leaf package internal/par so those packages can share
+// it without importing core.
 func ClampWorkers(n int) int { return par.ClampWorkers(n) }
 
 // Config parameterizes a flow run. The zero value is completed with the
@@ -69,10 +69,9 @@ type Config struct {
 	GlitchScale float64
 	// ATPGSeed drives test generation.
 	ATPGSeed int64
-	// Workers bounds the goroutine pools of every parallel stage — the
-	// speculative ATPG phase, fault simulation, the Step-2 schedule
-	// fan-out and the branch-and-bound solvers (0 = GOMAXPROCS; see
-	// ClampWorkers).
+	// Workers bounds the goroutine pools of the parallel stages — the
+	// speculative ATPG phase and fault simulation (0 = GOMAXPROCS; see
+	// ClampWorkers). Schedule construction is single-threaded.
 	Workers int
 	// SlowSim routes fault simulation through the naive full-resimulation
 	// reference engine instead of the event-driven fast path (differential
@@ -283,7 +282,6 @@ func (f *Flow) ScheduleOptions(m schedule.Method, coverage float64) schedule.Opt
 		Method:       m,
 		Coverage:     coverage,
 		SolverBudget: f.Config.SolverBudget,
-		Workers:      f.Config.Workers,
 	}
 }
 

@@ -32,7 +32,7 @@ func benchSuiteOnce(b *testing.B, store *cache.Store) {
 		if _, _, err := TableII(ctx, r); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := TableIII(ctx, r); err != nil {
+		if _, _, _, err := TableIII(ctx, r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -48,7 +48,7 @@ func renderTables(ctx context.Context, t *testing.T, cfg SuiteConfig) []byte {
 			t.Fatalf("TableII(%s): %v", r.Spec.Name, err)
 		}
 		t2 = append(t2, row2)
-		row3, _, err := TableIII(ctx, r)
+		row3, _, _, err := TableIII(ctx, r)
 		if err != nil {
 			t.Fatalf("TableIII(%s): %v", r.Spec.Name, err)
 		}

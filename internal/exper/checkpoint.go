@@ -242,12 +242,13 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 		}
 	}
 	if req.T3 {
-		row, t3solver, err := TableIII(cctx, r)
+		row, t3solver, t3worst, err := TableIII(cctx, r)
 		if err != nil {
 			span.End()
 			return nil, err
 		}
 		res.T3 = &row
+		worst = fmerr.Worse(worst, t3worst)
 		addSolver(&solver, t3solver)
 	}
 	if req.Fig3Steps > 0 {

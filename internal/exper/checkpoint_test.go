@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"fastmon/internal/fmerr"
 )
@@ -196,5 +197,25 @@ func TestSuiteCanceled(t *testing.T) {
 	_, err := RunSuiteCheckpointed(ctx, smallCfg(), TableRequest{T1: true}, "", nil, nil)
 	if !fmerr.IsCanceled(err) {
 		t.Fatalf("cancelled suite: %v", err)
+	}
+}
+
+// TestTableIIIDegradationLabel checks that a circuit whose Table III
+// solves were all cut off by the solver budget is labelled incumbent, not
+// exact: ComputeCircuit must fold the Table III builds' degradation into
+// CircuitResult.Degradation as it does for Table II.
+func TestTableIIIDegradationLabel(t *testing.T) {
+	cfg := smallCfg()
+	cfg.SolverBudget = time.Nanosecond
+	specs, err := cfg.Select()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ComputeCircuit(context.Background(), specs[0], cfg, TableRequest{T3: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmerr.DegradeIncumbent.String(); res.Degradation != want {
+		t.Fatalf("Degradation = %q after 1 ns solver budgets, want %q", res.Degradation, want)
 	}
 }

@@ -103,7 +103,7 @@ func TestRunCircuitAndTables(t *testing.T) {
 		}
 	}
 
-	row3, solver3, err := TableIII(context.Background(), r)
+	row3, solver3, _, err := TableIII(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,21 +42,23 @@ func schedulesEqual(a, b *schedule.Schedule) bool {
 	return true
 }
 
-// TestSuiteSchedulesParallelMatchSerial is the tentpole differential: every
-// circuit of the paper suite is replayed through the schedule stage with
-// the serial solvers (Workers=1) and the parallel ones, and the resulting
-// schedules must be bit-identical.
+// TestSuiteSchedulesParallelMatchSerial replays every circuit of the
+// paper suite through the schedule stage the way the suite fan-out runs
+// it: ILP schedules are built one at a time, then the same builds run
+// from four goroutines at once, and every concurrent schedule must be
+// bit-identical to its serial one.
 func TestSuiteSchedulesParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite differential replay")
 	}
-	withProcs(t, 8)
+	withProcs(t, 4)
 	cfg := tinySuiteCfg()
 	specs, err := cfg.Select()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	covs := []float64{1.0, 0.9}
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -64,33 +66,43 @@ func TestSuiteSchedulesParallelMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cov := range []float64{1.0, 0.9} {
+			build := func(cov float64) (*schedule.Schedule, error) {
 				opt := r.Flow.ScheduleOptions(schedule.ILP, cov)
-				// Budget expiries degrade to the incumbent at a
-				// nondeterministic point of the search; the differential
-				// guarantee only holds for completed solves, so give the
-				// tiny instances effectively unlimited time.
+				// A budget expiry degrades to whichever incumbent the clock
+				// reached; give the tiny instances effectively unlimited
+				// time so every solve completes.
 				opt.SolverBudget = 5 * time.Minute
-				opt.Workers = 1
-				serial, err := schedule.Build(ctx, r.Flow.TargetData, opt)
-				if err != nil {
+				return schedule.Build(ctx, r.Flow.TargetData, opt)
+			}
+			serial := make([]*schedule.Schedule, len(covs))
+			for i, cov := range covs {
+				if serial[i], err = build(cov); err != nil {
 					t.Fatalf("cov=%.2f serial: %v", cov, err)
 				}
-				if !serial.FreqOptimal {
+				if !serial[i].FreqOptimal {
 					t.Fatalf("cov=%.2f: serial solve degraded despite test budget", cov)
 				}
-				for _, w := range []int{2, 8} {
-					opt.Workers = w
-					par, err := schedule.Build(ctx, r.Flow.TargetData, opt)
-					if err != nil {
-						t.Fatalf("cov=%.2f workers=%d: %v", cov, w, err)
-					}
-					if !schedulesEqual(serial, par) {
-						t.Fatalf("cov=%.2f workers=%d: schedule diverged from serial\nserial: %+v\nparallel: %+v",
-							cov, w, serial, par)
-					}
-				}
 			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for k := range covs {
+						i := (k + g) % len(covs)
+						got, err := build(covs[i])
+						if err != nil {
+							t.Errorf("cov=%.2f goroutine %d: %v", covs[i], g, err)
+							return
+						}
+						if !schedulesEqual(serial[i], got) {
+							t.Errorf("cov=%.2f goroutine %d: schedule diverged from serial\nserial: %+v\nconcurrent: %+v",
+								covs[i], g, serial[i], got)
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
 		})
 	}
 }

@@ -123,8 +123,10 @@ type SuiteConfig struct {
 	// SolverBudget bounds each exact covering solve (default 5s).
 	SolverBudget time.Duration
 	// Workers bounds every parallel stage of the run — concurrent suite
-	// circuits, fault-simulation goroutines, the Step-2 schedule fan-out
-	// and the branch-and-bound solvers (0 = GOMAXPROCS).
+	// circuits, the speculative ATPG phase and fault-simulation goroutines
+	// (0 = GOMAXPROCS). Concurrent circuits are the schedule stage's only
+	// parallelism: each schedule build and covering solve is
+	// single-threaded.
 	Workers int
 	// SlowSim forces the naive fault-simulation reference engine
 	// (differential debugging escape hatch; see detect.Config.SlowSim).

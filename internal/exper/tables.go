@@ -9,6 +9,7 @@ import (
 	"fastmon/internal/cell"
 	"fastmon/internal/core"
 	"fastmon/internal/fault"
+	"fastmon/internal/fmerr"
 	"fastmon/internal/obs"
 	"fastmon/internal/schedule"
 )
@@ -168,18 +169,21 @@ type T3Row struct {
 // TableIIICoverages are the paper's coverage targets.
 var TableIIICoverages = []float64{0.99, 0.98, 0.95, 0.90}
 
-// TableIII builds ILP schedules for each partial-coverage target. The
-// second return value aggregates the exact-solver effort over all of them.
-func TableIII(ctx context.Context, r *Run) (T3Row, schedule.SolverStats, error) {
+// TableIII builds ILP schedules for each partial-coverage target. It
+// also returns the exact-solver effort aggregated over all of them and the
+// worst result-quality rung any of them settled on.
+func TableIII(ctx context.Context, r *Run) (T3Row, schedule.SolverStats, fmerr.Degradation, error) {
 	f := r.Flow
 	row := T3Row{Name: r.Spec.Name}
 	var solver schedule.SolverStats
+	worst := fmerr.DegradeNone
 	for _, cov := range TableIIICoverages {
 		s, err := f.BuildSchedule(ctx, schedule.ILP, cov)
 		if err != nil {
-			return T3Row{}, solver, fmt.Errorf("%s/cov%.2f: %w", r.Spec.Name, cov, err)
+			return T3Row{}, solver, worst, fmt.Errorf("%s/cov%.2f: %w", r.Spec.Name, cov, err)
 		}
 		addSolver(&solver, s.Solver)
+		worst = fmerr.Worse(worst, s.Degradation)
 		cell := T3Cell{
 			Cov: cov,
 			F:   s.NumFrequencies(),
@@ -189,7 +193,7 @@ func TableIII(ctx context.Context, r *Run) (T3Row, schedule.SolverStats, error) 
 		cell.DeltaPct = schedule.ReductionPercent(cell.PC, cell.S)
 		row.Cells = append(row.Cells, cell)
 	}
-	return row, solver, nil
+	return row, solver, worst, nil
 }
 
 // addSolver accumulates per-schedule solver effort into a total.

@@ -2,41 +2,24 @@ package ilp
 
 import (
 	"context"
-	"runtime"
 	"testing"
 )
 
-// benchWorkers picks the parallel worker count for the benchmark pair:
-// every CPU the machine has, but at least 2 so the parallel variant
-// exercises the frontier even on a single-core runner (oversubscribed
-// there, honest elsewhere).
-func benchWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 2
-}
-
-// BenchmarkSetCover pits the single-threaded branch-and-bound against the
-// work-stealing pool on a dense random instance (CI pairs the two
-// variants into the BENCH_schedule.json speedup field).
+// BenchmarkSetCover measures the branch-and-bound search on a dense random
+// instance.
 func BenchmarkSetCover(b *testing.B) {
 	sets, universe := hardCoverInstance(9, 110, 48, 0.10)
-	run := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := SetCover(context.Background(), sets, universe, Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Optimal {
-					b.Fatal("benchmark instance must solve to optimality")
-				}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := SetCover(context.Background(), sets, universe, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Optimal {
+				b.Fatal("benchmark instance must solve to optimality")
 			}
 		}
-	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(benchWorkers()))
+	})
 }
 
 // BenchmarkPartialCover measures the quota-covering search used by the
@@ -44,19 +27,15 @@ func BenchmarkSetCover(b *testing.B) {
 func BenchmarkPartialCover(b *testing.B) {
 	sets, universe := hardCoverInstance(43, 80, 30, 0.12)
 	quota := universe.Count() * 9 / 10
-	run := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := PartialCover(context.Background(), sets, universe, quota, Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Optimal {
-					b.Fatal("benchmark instance must solve to optimality")
-				}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, err := PartialCover(context.Background(), sets, universe, quota, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Optimal {
+				b.Fatal("benchmark instance must solve to optimality")
 			}
 		}
-	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(benchWorkers()))
+	})
 }

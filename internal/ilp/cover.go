@@ -62,28 +62,14 @@ func Coverable(sets []*bitset.Set, universe *bitset.Set) bool {
 	return u.Empty()
 }
 
-// coverTask is one subproblem of the SetCover search: the elements still
-// uncovered on this path and the sub-set indices chosen so far. Each task
-// owns its bitset and slice.
-type coverTask struct {
-	unc *bitset.Set
-	cur []int
-}
-
-// coverScratch is a SetCover worker's per-depth scratch: the DFS is
-// strictly nested, so one uncovered set and one candidate list per depth
-// replace per-node clones and sorts; only the storage is reused.
-type coverScratch struct {
-	unc   []*bitset.Set
-	cands []candList
-}
-
+// candList is one depth's candidate list of the SetCover search: covering
+// set indices and their gains, sorted together.
 type candList struct{ idx, gain []int }
 
 // SetCover solves minimum set cover exactly by branch-and-bound with
 // covering presolve, on the search harness shared with PartialCover
-// (solve.go): Selected is the same lexicographically smallest optimum for
-// every Options.Workers. It returns an error when the universe is not
+// (solve.go): a completed solve returns the lexicographically smallest
+// optimum. It returns an error when the universe is not
 // coverable. An expired deadline (the paper's solver timeout) returns the
 // best incumbent with a nil error; cancellation returns the incumbent
 // together with an error wrapping context.Canceled.
@@ -242,90 +228,78 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 	// each covering set in decreasing gain order (index ascending on
 	// ties). Subtrees are pruned only when strictly worse than the
 	// incumbent so every optimal cover stays reachable and the bestList
-	// tie-break makes the outcome interleaving-independent.
-	s := newSearch[coverTask, coverScratch](ctx, "setcover", "ilp.cover", opts, incumbent, 0)
-	best := s.best
-	s.run(coverTask{unc: uncovered.Clone()}, func(w *walker[coverTask, coverScratch], t coverTask) {
-		sc := &w.local
-		var dfs func(unc *bitset.Set, cur []int)
-		dfs = func(unc *bitset.Set, cur []int) {
-			if !w.enter() {
-				return
+	// tie-break picks the lexicographically smallest one. The DFS is
+	// strictly nested, so one uncovered set and one candidate list per
+	// depth replace per-node clones and sorts.
+	s := newSearch(ctx, "setcover", "ilp.cover", opts, incumbent, 0)
+	var (
+		uncAt   []*bitset.Set
+		candsAt []candList
+		dfs     func(unc *bitset.Set, cur []int)
+	)
+	dfs = func(unc *bitset.Set, cur []int) {
+		if !s.enter() {
+			return
+		}
+		if unc.Empty() {
+			s.offer(cur, 0)
+			return
+		}
+		if len(cur)+lowerBound(sub, unc) > s.best.bound() {
+			return
+		}
+		// Pick the uncovered element with fewest alive covering sets.
+		pickE, pickCnt := -1, 1<<30
+		for _, e := range elems {
+			if !unc.Has(e) {
+				continue
 			}
-			if unc.Empty() {
-				w.offer(cur, 0)
-				return
-			}
-			if len(cur)+lowerBound(sub, unc) > best.bound() {
-				return
-			}
-			// Pick the uncovered element with fewest alive covering sets.
-			pickE, pickCnt := -1, 1<<30
-			for _, e := range elems {
-				if !unc.Has(e) {
-					continue
-				}
-				cnt := 0
-				for _, si := range coverOf[e] {
-					if sub[si].IntersectionCount(unc) > 0 {
-						cnt++
-					}
-				}
-				if cnt < pickCnt {
-					pickE, pickCnt = e, cnt
-					if cnt <= 1 {
-						break
-					}
+			cnt := 0
+			for _, si := range coverOf[e] {
+				if sub[si].IntersectionCount(unc) > 0 {
+					cnt++
 				}
 			}
-			depth := len(cur)
-			for len(sc.cands) <= depth {
-				sc.cands = append(sc.cands, candList{})
-			}
-			cands := append(sc.cands[depth].idx[:0], coverOf[pickE]...)
-			gains := sc.cands[depth].gain[:0]
-			for _, si := range cands {
-				gains = append(gains, sub[si].IntersectionCount(unc))
-			}
-			// Insertion sort by (gain descending, index ascending): the
-			// same total order the sort.Slice comparator produced.
-			for i := 1; i < len(cands); i++ {
-				ci, gi := cands[i], gains[i]
-				j := i - 1
-				for j >= 0 && (gains[j] < gi || (gains[j] == gi && cands[j] > ci)) {
-					cands[j+1], gains[j+1] = cands[j], gains[j]
-					j--
+			if cnt < pickCnt {
+				pickE, pickCnt = e, cnt
+				if cnt <= 1 {
+					break
 				}
-				cands[j+1], gains[j+1] = ci, gi
-			}
-			sc.cands[depth] = candList{idx: cands, gain: gains}
-			if len(cands) > 1 && w.hungry() {
-				// Offload every sibling but the first; pushed in reverse
-				// so the LIFO pool hands them out in serial order.
-				for i := len(cands) - 1; i >= 1; i-- {
-					si := cands[i]
-					nu := unc.Clone()
-					nu.AndNot(sub[si])
-					nc := make([]int, len(cur)+1)
-					copy(nc, cur)
-					nc[len(cur)] = si
-					w.push(coverTask{unc: nu, cur: nc})
-				}
-				cands = cands[:1]
-			}
-			for _, si := range cands {
-				next := depthSet(&sc.unc, depth, universe.Len())
-				next.SetAndNot(unc, sub[si])
-				cur = append(cur, si)
-				dfs(next, cur)
-				cur = cur[:len(cur)-1]
 			}
 		}
-		dfs(t.unc, t.cur)
-	})
+		depth := len(cur)
+		for len(candsAt) <= depth {
+			candsAt = append(candsAt, candList{})
+		}
+		cands := append(candsAt[depth].idx[:0], coverOf[pickE]...)
+		gains := candsAt[depth].gain[:0]
+		for _, si := range cands {
+			gains = append(gains, sub[si].IntersectionCount(unc))
+		}
+		// Insertion sort by (gain descending, index ascending): the
+		// same total order the sort.Slice comparator produced.
+		for i := 1; i < len(cands); i++ {
+			ci, gi := cands[i], gains[i]
+			j := i - 1
+			for j >= 0 && (gains[j] < gi || (gains[j] == gi && cands[j] > ci)) {
+				cands[j+1], gains[j+1] = cands[j], gains[j]
+				j--
+			}
+			cands[j+1], gains[j+1] = ci, gi
+		}
+		candsAt[depth] = candList{idx: cands, gain: gains}
+		for _, si := range cands {
+			next := depthSet(&uncAt, depth, universe.Len())
+			next.SetAndNot(unc, sub[si])
+			cur = append(cur, si)
+			dfs(next, cur)
+			cur = cur[:len(cur)-1]
+		}
+	}
+	dfs(uncovered, nil)
 
 	sel := append([]int(nil), chosen...)
-	for _, si := range best.snapshot() {
+	for _, si := range s.best.snapshot() {
 		sel = append(sel, aliveIdx[si])
 	}
 	sort.Ints(sel)
@@ -412,16 +386,6 @@ func GreedyPartialCover(sets []*bitset.Set, universe *bitset.Set, quota int) ([]
 	return out, nil
 }
 
-// partialTask is one subproblem of the PartialCover search: the next
-// position in the size-ordered set list, the sets chosen so far, and the
-// elements they cover. Each task owns its slice and bitset.
-type partialTask struct {
-	pos     int
-	cur     []int
-	covered *bitset.Set
-	cnt     int
-}
-
 // PartialCover finds a minimum number of sets covering at least quota
 // elements of the universe (the Table III "cov ≥ x%" selection) by
 // include/exclude branch-and-bound with a sum-of-largest-sets bound. It
@@ -474,85 +438,69 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 	for _, si := range incumbent {
 		seedCov.Or(sub[si])
 	}
-	// Per-worker scratch: include children at depth d finish before the
-	// parent includes again at d, so one covered set per depth suffices.
-	s := newSearch[partialTask, []*bitset.Set](ctx, "partialcover", "ilp.partial", opts, incumbent, seedCov.Count())
-	best := s.best
-	s.run(partialTask{covered: bitset.New(universe.Len())}, func(w *walker[partialTask, []*bitset.Set], t partialTask) {
-		// The exclude branch is tail-recursive (same covered set, next
-		// position), so it runs as a loop; each iteration is one node. The
-		// include branch recurses when "take order[pos]" has a positive
-		// marginal gain — an optimal selection never contains a
-		// zero-marginal set (dropping it would shrink the solution), so the
-		// filter cannot hide an optimum from the tie-break.
-		var dfs func(pos int, cur []int, covered *bitset.Set, cnt int)
-		dfs = func(pos int, cur []int, covered *bitset.Set, cnt int) {
-			// m tracks the bound's prefix-sum crossing point. Along the
-			// exclude chain the deficit is constant and prefix[pos] grows,
-			// so the crossing point only moves right: advancing it linearly
-			// from the previous node costs O(1) amortized per node where a
-			// fresh search would pay O(log) every time.
-			m := pos + 1
-			for {
-				if !w.enter() {
-					return
-				}
-				if cnt >= quota {
-					w.offer(cur, cnt)
-					return
-				}
-				bnd := best.bound()
-				if len(cur)+1 > bnd { // any completion costs ≥ len(cur)+1
-					return
-				}
-				if pos >= len(order) {
-					return
-				}
-				// Bound: adding the k largest remaining sets gains at most
-				// the sum of their sizes; m-pos is the smallest k whose size
-				// prefix reaches the deficit.
-				target := prefix[pos] + int64(quota-cnt)
-				for m < len(order) && prefix[m] < target {
-					m++
-				}
-				if prefix[m] < target {
-					return // even taking every remaining set falls short
-				}
-				if len(cur)+(m-pos) > bnd {
-					return
-				}
-				si := order[pos]
-				// Under a hungry pool the exclude subtree is offloaded and
-				// include recursed locally (serial order is include first).
-				offload := w.hungry()
-				if offload {
-					w.push(partialTask{
-						pos:     pos + 1,
-						cur:     append([]int(nil), cur...),
-						covered: covered.Clone(),
-						cnt:     cnt,
-					})
-				}
-				if marginal := sub[si].AndNotCount(covered); marginal > 0 {
-					nc := depthSet(&w.local, len(cur), universe.Len())
-					nc.SetOr(covered, sub[si])
-					cur = append(cur, si)
-					dfs(pos+1, cur, nc, cnt+marginal)
-					cur = cur[:len(cur)-1]
-				}
-				if offload {
-					return
-				}
-				pos++ // exclude order[pos]: same covered set, next position
+	// Include children at depth d finish before the parent includes again
+	// at d, so one covered set per depth suffices.
+	s := newSearch(ctx, "partialcover", "ilp.partial", opts, incumbent, seedCov.Count())
+	var coveredAt []*bitset.Set
+	// The exclude branch is tail-recursive (same covered set, next
+	// position), so it runs as a loop; each iteration is one node. The
+	// include branch recurses when "take order[pos]" has a positive
+	// marginal gain — an optimal selection never contains a
+	// zero-marginal set (dropping it would shrink the solution), so the
+	// filter cannot hide an optimum from the tie-break.
+	var dfs func(pos int, cur []int, covered *bitset.Set, cnt int)
+	dfs = func(pos int, cur []int, covered *bitset.Set, cnt int) {
+		// m tracks the bound's prefix-sum crossing point. Along the
+		// exclude chain the deficit is constant and prefix[pos] grows,
+		// so the crossing point only moves right: advancing it linearly
+		// from the previous node costs O(1) amortized per node where a
+		// fresh search would pay O(log) every time.
+		m := pos + 1
+		for {
+			if !s.enter() {
+				return
 			}
+			if cnt >= quota {
+				s.offer(cur, cnt)
+				return
+			}
+			bnd := s.best.bound()
+			if len(cur)+1 > bnd { // any completion costs ≥ len(cur)+1
+				return
+			}
+			if pos >= len(order) {
+				return
+			}
+			// Bound: adding the k largest remaining sets gains at most
+			// the sum of their sizes; m-pos is the smallest k whose size
+			// prefix reaches the deficit.
+			target := prefix[pos] + int64(quota-cnt)
+			for m < len(order) && prefix[m] < target {
+				m++
+			}
+			if prefix[m] < target {
+				return // even taking every remaining set falls short
+			}
+			if len(cur)+(m-pos) > bnd {
+				return
+			}
+			si := order[pos]
+			if marginal := sub[si].AndNotCount(covered); marginal > 0 {
+				nc := depthSet(&coveredAt, len(cur), universe.Len())
+				nc.SetOr(covered, sub[si])
+				cur = append(cur, si)
+				dfs(pos+1, cur, nc, cnt+marginal)
+				cur = cur[:len(cur)-1]
+			}
+			pos++ // exclude order[pos]: same covered set, next position
 		}
-		dfs(t.pos, t.cur, t.covered, t.cnt)
-	})
+	}
+	dfs(0, nil, bitset.New(universe.Len()), 0)
 	// Root bound for the exit gap: covering the quota needs at least as
 	// many sets as the largest-first size prefix reaching it.
 	rootLB := 0
 	for rootLB < len(order) && prefix[rootLB] < int64(quota) {
 		rootLB++
 	}
-	return s.result(best.snapshot(), rootLB)
+	return s.result(s.best.snapshot(), rootLB)
 }

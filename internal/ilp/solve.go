@@ -2,21 +2,19 @@ package ilp
 
 import (
 	"context"
+	"sort"
 	"strconv"
-	"sync/atomic"
 
 	"fastmon/internal/chaos"
 	"fastmon/internal/fmerr"
 	"fastmon/internal/obs"
 	"fastmon/internal/obs/flight"
-	"fastmon/internal/par"
 )
 
 // Chaos injection points of the solvers: an error-capable point at solve
 // entry, and panic/delay-only disturbances (the dfs has no error return
 // path) at node expansion and incumbent publication. An injected panic
-// rides the worker recover → stop + fr.Abort → re-panic path of
-// search.run, so it exercises the same isolation a real solver bug would.
+// unwinds the search to the caller exactly as a real solver bug would.
 var (
 	ptSolve     = chaos.Register("ilp.solve", fmerr.StageSolve)
 	ptNode      = chaos.Register("ilp.node", fmerr.StageSolve)
@@ -30,19 +28,19 @@ var (
 // (Optimal=false, Degradation=incumbent); outright cancellation
 // additionally returns the context error so callers can distinguish
 // "budget spent, result degraded" from "stop everything".
+//
+// Each solve is a single-threaded depth-first search: independent solves
+// run concurrently only as independent calls (the suite fan-out over
+// circuits). A completed solve returns the lexicographically smallest
+// optimum (see bestList).
 type Options struct {
-	// MaxNodes bounds the branch-and-bound tree (0 = unlimited). It is
-	// checked once per poll window and degrades like a spent deadline.
+	// MaxNodes bounds the branch-and-bound tree (0 = unlimited). Nodes
+	// are counted in serial depth-first order and the cap is checked once
+	// per pollMask+1-node poll window, so a capped search stops at the
+	// first window boundary past MaxNodes: its incumbent and node count
+	// are a pure function of the inputs. It degrades like a spent
+	// deadline.
 	MaxNodes int
-	// Workers bounds the branch-and-bound worker pool; zero or negative
-	// means one worker per CPU (par.ClampWorkers). Completed solves are
-	// deterministic for every worker count: incumbents go through a
-	// lexicographic tie-break and subtrees are pruned only when strictly
-	// worse than the incumbent, so the result is the lexicographically
-	// smallest optimum regardless of interleaving. Budget- or node-capped
-	// aborts return whichever incumbent was best at expiry and are the one
-	// place worker count can show through.
-	Workers int
 }
 
 // pollMask controls the cancellation poll granularity: the context is
@@ -57,7 +55,6 @@ const (
 	stopNone     stopReason = iota
 	stopBudget              // deadline expired or node cap hit: degrade, no error
 	stopCanceled            // context canceled: degrade and report the error
-	stopPanicked            // a worker panicked: peers bail, the panic reaches the caller
 )
 
 // checkCtx maps the context state to a stop reason. An expired deadline is
@@ -117,165 +114,85 @@ func begin(ctx context.Context, op string, greedy func() ([]int, error)) (res Co
 }
 
 // search is the branch-and-bound harness shared by SetCover and
-// PartialCover: the frontier of tasks T, the shared incumbent, the
-// tallies and stop flag, the worker pool with its panic isolation, and
-// the CoverResult. A solver supplies its task type, its per-worker
-// scratch type L, an expand function (branching and bound), the
-// selection and the root bound.
-type search[T, L any] struct {
-	budget
-	op      string // solver name in wrapped errors
-	event   string // flight event name of incumbent publications
-	workers int
-	fr      *par.Frontier[T]
-	best    *bestList
-	frec    *flight.Recorder
-
-	incumbents, stolen atomic.Int64
-}
-
-// budget is the part of a search that the per-node accounting reads. It
-// is not generic, so meter.enter stays within the inlining budget (the
-// generic shape instantiation of the same method does not).
-type budget struct {
+// PartialCover: the incumbent, the node and incumbent tallies, the poll of
+// the context and node cap, and the CoverResult. A solver runs its own
+// depth-first recursion from the root, calling enter at every node and
+// offer at every feasible leaf.
+type search struct {
 	ctx      context.Context
 	inj      *chaos.Injector // resolved once; nil is a valid no-op
+	op       string          // solver name in wrapped errors
+	event    string          // flight event name of incumbent publications
 	maxNodes int64
-	pool     interface{ Abort() } // the frontier, drained on a stop
-	nodes    atomic.Int64
-	stop     stopFlag
+	best     bestList
+	frec     *flight.Recorder
+
+	nodes, incumbents int64
+	stop              stopReason
 }
 
 // newSearch prepares a search seeded with a sorted incumbent and its
 // score (see bestList).
-func newSearch[T, L any](ctx context.Context, op, event string, opts Options, seed []int, score int) *search[T, L] {
-	workers := par.ClampWorkers(opts.Workers)
-	fr := par.NewFrontier[T](workers)
-	return &search[T, L]{
-		budget:  budget{ctx: ctx, inj: chaos.From(ctx), maxNodes: int64(opts.MaxNodes), pool: fr},
-		op:      op,
-		event:   event,
-		workers: workers,
-		fr:      fr,
-		best:    newBestList(seed, score),
-		frec:    obs.From(ctx).Flight(),
+func newSearch(ctx context.Context, op, event string, opts Options, seed []int, score int) *search {
+	return &search{
+		ctx:      ctx,
+		inj:      chaos.From(ctx),
+		op:       op,
+		event:    event,
+		maxNodes: int64(opts.MaxNodes),
+		best:     bestList{sel: append([]int(nil), seed...), score: score},
+		frec:     obs.From(ctx).Flight(),
 	}
-}
-
-// meter is one worker's node accounting. dead flips when poll observes a
-// stop; as a plain per-worker bool it lets every recursion level bail
-// without an atomic read per node.
-type meter struct {
-	b     *budget
-	nodes int64
-	dead  bool
 }
 
 // enter accounts one node and reports whether to expand it. It is the
 // whole per-node cost of the harness and is inlined into the solvers'
-// dfs; the shared atomics are touched only by poll, once per pollMask+1
-// nodes.
-func (m *meter) enter() bool {
-	if m.dead {
+// dfs; the context and the node cap are read only by poll, once per
+// pollMask+1 nodes. After a stop every further call returns false, so each
+// recursion level unwinds without expanding.
+func (s *search) enter() bool {
+	if s.stop != stopNone {
 		return false
 	}
-	m.nodes++
-	return m.nodes&pollMask != 0 || m.poll()
+	s.nodes++
+	return s.nodes&pollMask != 0 || s.poll()
 }
 
-// poll is the once-per-window slow path: flush the window into the shared
-// tally, notice peer stops, check the context and the node cap. Stops
-// only arise on abort paths, so the no-abort search is untouched; totals
-// stay exact because run flushes the sub-window remainder.
-func (m *meter) poll() bool {
-	b := m.b
-	nn := b.nodes.Add(pollMask + 1)
-	if b.stop.get() == stopNone {
-		r := checkCtx(b.ctx)
-		if r == stopNone {
-			b.inj.Disturb(b.ctx, ptNode)
-			if b.maxNodes > 0 && nn > b.maxNodes {
-				r = stopBudget
-			}
+// poll is the once-per-window slow path: check the context and the node
+// cap, and record the first stop reason.
+func (s *search) poll() bool {
+	r := checkCtx(s.ctx)
+	if r == stopNone {
+		s.inj.Disturb(s.ctx, ptNode)
+		if s.maxNodes > 0 && s.nodes > s.maxNodes {
+			r = stopBudget
 		}
-		if r == stopNone {
-			return true
-		}
-		b.stop.set(r)
-		b.pool.Abort()
 	}
-	m.dead = true
-	return false
+	s.stop = r
+	return r == stopNone
 }
-
-// walker is one worker's handle on a search: its meter, its scratch, and
-// the frontier and incumbent operations an expand function needs.
-type walker[T, L any] struct {
-	meter
-	s     *search[T, L]
-	id    int
-	local L // the solver's per-worker scratch, zero at start
-}
-
-// hungry reports whether to offload sibling subtrees now: the pool has
-// more than one worker and is running low (par.Frontier.Hungry).
-func (w *walker[T, L]) hungry() bool { return w.s.workers > 1 && w.s.fr.Hungry() }
-
-// push offloads a subproblem to the frontier.
-func (w *walker[T, L]) push(t T) { w.s.fr.Push(w.id, t) }
 
 // offer publishes a leaf selection with its score as a candidate
 // incumbent.
-func (w *walker[T, L]) offer(cur []int, score int) {
-	s := w.s
+func (s *search) offer(cur []int, score int) {
 	s.inj.Disturb(s.ctx, ptIncumbent)
 	if s.best.offer(cur, score) {
+		s.incumbents++
 		s.frec.Record(flight.Event{Kind: flight.KindIncumbent, Name: s.event, Stage: "solve",
-			Detail: strconv.Itoa(len(cur)) + " sets", Value: s.incumbents.Add(1)})
+			Detail: strconv.Itoa(len(cur)) + " sets", Value: s.incumbents})
 	}
-}
-
-// run seeds the frontier with root and works it off, calling expand for
-// every task a worker pops. A panicking worker sets the stop flag, so
-// peers leave their subtrees at the next poll, and aborts the frontier, so
-// no peer is stranded in Pop; par.Run then re-raises the panic in the
-// caller.
-func (s *search[T, L]) run(root T, expand func(w *walker[T, L], t T)) {
-	s.fr.Push(0, root)
-	par.Run(s.workers, func(id int) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.stop.set(stopPanicked)
-				s.fr.Abort()
-				panic(r)
-			}
-		}()
-		w := &walker[T, L]{meter: meter{b: &s.budget}, s: s, id: id}
-		for {
-			t, st, ok := s.fr.Pop(id)
-			if !ok {
-				break
-			}
-			if st {
-				s.stolen.Add(1)
-			}
-			expand(w, t)
-		}
-		s.nodes.Add(w.nodes & pollMask)
-	})
 }
 
 // result turns the finished search into a CoverResult for the final
 // selection sel (sorted ascending): optimal unless a stop reason was
 // recorded, in which case the gap is measured against the root lower
 // bound rootLB. It records the solve's effort and wraps a cancellation.
-func (s *search[T, L]) result(sel []int, rootLB int) (CoverResult, error) {
-	stopped := s.stop.get()
+func (s *search) result(sel []int, rootLB int) (CoverResult, error) {
 	res := CoverResult{
 		Selected:   sel,
-		Optimal:    stopped == stopNone,
-		Nodes:      int(s.nodes.Load()),
-		Incumbents: int(s.incumbents.Load()),
+		Optimal:    s.stop == stopNone,
+		Nodes:      int(s.nodes),
+		Incumbents: int(s.incumbents),
 	}
 	if !res.Optimal {
 		res.Degradation = fmerr.DegradeIncumbent
@@ -284,12 +201,58 @@ func (s *search[T, L]) result(sel []int, rootLB int) (CoverResult, error) {
 		}
 	}
 	recordSolve(s.ctx, res.Nodes, res.Incumbents, res.Optimal, res.Gap)
-	if o := obs.From(s.ctx); o != nil {
-		o.Gauge("ilp.workers").Set(float64(s.workers))
-		o.Counter("ilp.nodes_stolen").Add(s.stolen.Load())
-	}
-	if stopped == stopCanceled {
+	if s.stop == stopCanceled {
 		return res, fmerr.Wrap(fmerr.StageSolve, s.op, s.ctx.Err())
 	}
 	return res, nil
+}
+
+// bestList is the incumbent of a covering search, updated under a total
+// order: shorter wins, equal length prefers the higher score (PartialCover
+// passes the covered count, so equal-size selections that cover more of
+// the universe win; full covers pass a constant), and remaining ties fall
+// back to lexicographic comparison of the sorted index lists. Because
+// pruning only discards subtrees that are strictly worse than the
+// incumbent by length, every minimum-size selection is offered and a
+// completed search returns the lexicographically smallest optimum.
+type bestList struct {
+	sel     []int
+	score   int
+	scratch []int // reused sort buffer
+}
+
+// bound returns the current incumbent length.
+func (b *bestList) bound() int { return len(b.sel) }
+
+// offer publishes a candidate selection (any order; offer sorts a reused
+// scratch copy, so the caller's slice is never retained). It reports
+// whether the candidate replaced the incumbent. Candidates that lose on
+// length or score are rejected before the sort.
+func (b *bestList) offer(cand []int, score int) bool {
+	if len(cand) > len(b.sel) || (len(cand) == len(b.sel) && score < b.score) {
+		return false
+	}
+	c := append(b.scratch[:0], cand...)
+	b.scratch = c
+	sort.Ints(c)
+	if len(c) == len(b.sel) && score == b.score && !lexLess(c, b.sel) {
+		return false
+	}
+	b.sel = append(b.sel[:0], c...)
+	b.score = score
+	return true
+}
+
+// snapshot returns a copy of the current incumbent selection.
+func (b *bestList) snapshot() []int { return append([]int(nil), b.sel...) }
+
+// lexLess compares two ascending index lists lexicographically; a proper
+// prefix is smaller than its extensions.
+func lexLess(a, b []int) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return a[i] < b[i]
+		}
+	}
+	return len(a) < len(b)
 }

@@ -155,30 +155,16 @@ func (s Set) Union(o Set) Set {
 	if o.Empty() {
 		return s
 	}
-	merged := make([]Interval, 0, len(s.ivs)+len(o.ivs))
-	merged = append(merged, s.ivs...)
-	merged = append(merged, o.ivs...)
-	return New(merged...)
+	var out Set
+	s.UnionInto(o, &out)
+	return out
 }
 
 // Intersect returns s ∩ o.
 func (s Set) Intersect(o Set) Set {
-	var out []Interval
-	i, j := 0, 0
-	for i < len(s.ivs) && j < len(o.ivs) {
-		a, b := s.ivs[i], o.ivs[j]
-		lo := tunit.Max(a.Lo, b.Lo)
-		hi := tunit.Min(a.Hi, b.Hi)
-		if lo < hi {
-			out = append(out, Interval{lo, hi})
-		}
-		if a.Hi < b.Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return Set{ivs: out}
+	var out Set
+	s.IntersectInto(o, &out)
+	return out
 }
 
 // Subtract returns s \ o.
@@ -186,32 +172,9 @@ func (s Set) Subtract(o Set) Set {
 	if s.Empty() || o.Empty() {
 		return s
 	}
-	var out []Interval
-	j := 0
-	for _, a := range s.ivs {
-		lo := a.Lo
-		for j < len(o.ivs) && o.ivs[j].Hi <= lo {
-			j++
-		}
-		k := j
-		for k < len(o.ivs) && o.ivs[k].Lo < a.Hi {
-			b := o.ivs[k]
-			if b.Lo > lo {
-				out = append(out, Interval{lo, b.Lo})
-			}
-			if b.Hi > lo {
-				lo = b.Hi
-			}
-			if b.Hi >= a.Hi {
-				break
-			}
-			k++
-		}
-		if lo < a.Hi {
-			out = append(out, Interval{lo, a.Hi})
-		}
-	}
-	return Set{ivs: out}
+	var out Set
+	s.SubtractInto(o, &out)
+	return out
 }
 
 // Shift returns the set translated by d along the time axis. This is the
@@ -220,17 +183,17 @@ func (s Set) Shift(d tunit.Time) Set {
 	if s.Empty() || d == 0 {
 		return s
 	}
-	out := make([]Interval, len(s.ivs))
-	for i, iv := range s.ivs {
-		out[i] = Interval{iv.Lo + d, iv.Hi + d}
-	}
-	return Set{ivs: out}
+	out := Set{ivs: make([]Interval, 0, len(s.ivs))}
+	s.ShiftInto(d, &out)
+	return out
 }
 
 // Clip returns s ∩ [lo, hi). Detection intervals outside of [t_min, t_nom]
 // are ignored (paper, Sec. II-A).
 func (s Set) Clip(lo, hi tunit.Time) Set {
-	return s.Intersect(New(Interval{lo, hi}))
+	var out Set
+	s.ClipInto(lo, hi, &out)
+	return out
 }
 
 // FilterShort removes every maximal interval shorter than minLen. This is
@@ -362,12 +325,12 @@ func (s Set) Copy() Set {
 
 // In-place kernel
 //
-// The *Into operations below compute the same canonical results as their
-// allocating counterparts but write into dst's backing array, growing it
-// only when capacity runs out. dst must not alias s or o — the merge scans
-// write dst left to right while still reading both inputs. They exist for
-// the scheduling hot path, where the allocating operations dominated the
-// profile (one sort-and-merge allocation per Union on millions of calls).
+// The *Into operations below are the one implementation of the set
+// algebra: they write into dst's backing array, growing it only when
+// capacity runs out, and the allocating operations above wrap them with a
+// fresh dst. dst must not alias s or o — the merge scans write dst left to
+// right while still reading both inputs. The scheduling hot path calls
+// them directly with reused buffers.
 
 // UnionInto sets *dst = s ∪ o, reusing dst's capacity. Both inputs are
 // canonical, so the union is a linear two-way merge — no sort.

@@ -1,11 +1,10 @@
 // Package par holds the small shared-parallelism primitives every
 // parallel pipeline stage agrees on: the canonical worker-count clamp
-// (detect, schedule and exper all bound their pools by the same
-// [1, GOMAXPROCS] rule, re-exported as core.ClampWorkers for API users)
-// and a work-sharing frontier for the parallel branch-and-bound searches
-// of internal/ilp.
+// (atpg, detect and exper all bound their pools by the same
+// [1, GOMAXPROCS] rule, re-exported as core.ClampWorkers for API users),
+// the plain worker pool Run and the ordered-commit fan-out of ATPG.
 //
-// It sits below detect/schedule/ilp in the dependency order on purpose:
+// It sits below atpg/detect/exper in the dependency order on purpose:
 // those packages cannot import core (core wires them together), yet all
 // stages must resolve a configured worker count identically.
 package par
@@ -19,9 +18,8 @@ import (
 // ClampWorkers resolves a configured worker count to [1, GOMAXPROCS]:
 // zero and negative values mean "use every CPU", larger requests are cut
 // down instead of oversubscribing the scheduler. This is the single
-// worker-count rule shared by fault simulation (detect.Run), schedule
-// construction (schedule.Build, ilp solvers) and the experiment suite
-// (exper.RunSuiteCheckpointed).
+// worker-count rule shared by ATPG (atpg.Generate), fault simulation
+// (detect.Run) and the experiment suite (exper.RunSuiteCheckpointed).
 func ClampWorkers(w int) int {
 	max := runtime.GOMAXPROCS(0)
 	if w <= 0 || w > max {
@@ -47,104 +45,6 @@ func ClampWorkersFor(w, items int) int {
 		w = 1
 	}
 	return w
-}
-
-// Frontier is a shared pool of subproblems for parallel tree search. It
-// behaves as a LIFO stack (newest subproblem first, approximating the
-// depth-first order of the serial search and bounding memory), hands out
-// work to any asking worker, and detects termination when every worker
-// is idle and the pool is empty.
-//
-// Workers interact with the pool in a strict loop: Pop a task, expand it
-// (recursing locally, offloading sibling subtrees via Push when Hungry
-// reports starvation), Pop again. A worker that received ok=false from
-// Pop must exit; the search is exhausted or aborted.
-type Frontier[T any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	stack  []entry[T]
-	idle   int
-	closed bool
-
-	workers int
-	// size mirrors len(stack), idlers mirrors idle; both readable
-	// without the lock so Hungry stays cheap on the hot path.
-	size   atomic.Int64
-	idlers atomic.Int64
-}
-
-type entry[T any] struct {
-	owner int
-	task  T
-}
-
-// NewFrontier returns a pool for the given number of workers.
-func NewFrontier[T any](workers int) *Frontier[T] {
-	f := &Frontier[T]{workers: workers}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-// Push offers a subproblem to the pool, tagged with the worker that
-// produced it (steal accounting).
-func (f *Frontier[T]) Push(owner int, t T) {
-	f.mu.Lock()
-	f.stack = append(f.stack, entry[T]{owner: owner, task: t})
-	f.size.Store(int64(len(f.stack)))
-	f.mu.Unlock()
-	f.cond.Signal()
-}
-
-// Hungry reports whether the pool is running low: some worker is idle or
-// the stack holds fewer subproblems than workers. Producers use it to
-// decide between recursing locally (cheap) and offloading sibling
-// subtrees (keeps the pool fed). Reads only atomics — no lock.
-func (f *Frontier[T]) Hungry() bool {
-	return f.idlers.Load() > 0 || f.size.Load() < int64(f.workers)
-}
-
-// Pop removes the newest subproblem. It blocks while the pool is empty
-// but some worker is still expanding (that worker may publish more
-// work). ok=false means the search is over: either every worker went
-// idle on an empty pool, or Abort was called. stolen reports that the
-// task was produced by a different worker.
-func (f *Frontier[T]) Pop(self int) (t T, stolen, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if len(f.stack) > 0 {
-			e := f.stack[len(f.stack)-1]
-			f.stack = f.stack[:len(f.stack)-1]
-			f.size.Store(int64(len(f.stack)))
-			return e.task, e.owner != self, true
-		}
-		if f.closed {
-			return t, false, false
-		}
-		f.idle++
-		f.idlers.Store(int64(f.idle))
-		if f.idle == f.workers {
-			// Last active worker found nothing to do: the search space
-			// is exhausted. Release every waiter.
-			f.closed = true
-			f.cond.Broadcast()
-			return t, false, false
-		}
-		f.cond.Wait()
-		f.idle--
-		f.idlers.Store(int64(f.idle))
-	}
-}
-
-// Abort drains the pool and releases every waiting worker (budget expiry
-// or cancellation). Pending subproblems are discarded.
-func (f *Frontier[T]) Abort() {
-	f.mu.Lock()
-	f.closed = true
-	f.stack = nil
-	f.size.Store(0)
-	f.cond.Broadcast()
-	f.mu.Unlock()
 }
 
 // OrderedCommit runs a speculative fan-out over n indexed work items with
@@ -306,7 +206,7 @@ func (o *ordCommit[T]) abort() {
 
 // Run executes fn on `workers` goroutines with ids 0..workers-1 and
 // waits for all of them. A single worker runs inline on the calling
-// goroutine, so serial solves (Workers=1) pay no scheduling overhead. A
+// goroutine, so serial runs (Workers=1) pay no scheduling overhead. A
 // panicking worker does not crash the process: the first panic value is
 // re-raised on the calling goroutine after the pool drains.
 func Run(workers int, fn func(id int)) {

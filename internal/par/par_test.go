@@ -2,7 +2,6 @@ package par
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -20,74 +19,6 @@ func TestClampWorkers(t *testing.T) {
 	}
 	if got := ClampWorkers(max + 100); got != max {
 		t.Fatalf("ClampWorkers(max+100) = %d, want %d", got, max)
-	}
-}
-
-// TestFrontierExpandsWholeTree checks that a frontier-driven search
-// visits every node of a synthetic tree exactly once and terminates,
-// for several worker counts.
-func TestFrontierExpandsWholeTree(t *testing.T) {
-	const depth, fanout = 7, 3
-	want := 0
-	for d, n := 0, 1; d <= depth; d++ {
-		want += n
-		n *= fanout
-	}
-	for _, workers := range []int{1, 2, 4, 9} {
-		fr := NewFrontier[int](workers)
-		fr.Push(0, 0) // root at depth 0
-		var visited, stolen atomic.Int64
-		Run(workers, func(id int) {
-			for {
-				d, st, ok := fr.Pop(id)
-				if !ok {
-					return
-				}
-				if st {
-					stolen.Add(1)
-				}
-				visited.Add(1)
-				if d < depth {
-					for c := 0; c < fanout; c++ {
-						fr.Push(id, d+1)
-					}
-				}
-			}
-		})
-		if got := visited.Load(); got != int64(want) {
-			t.Fatalf("workers=%d: visited %d nodes, want %d", workers, got, want)
-		}
-		if workers == 1 && stolen.Load() != 0 {
-			t.Fatalf("single worker stole %d tasks from itself", stolen.Load())
-		}
-	}
-}
-
-func TestFrontierAbortReleasesWaiters(t *testing.T) {
-	const workers = 4
-	fr := NewFrontier[int](workers)
-	fr.Push(0, 0)
-	var exited sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		exited.Add(1)
-		go func(id int) {
-			defer exited.Done()
-			for {
-				v, _, ok := fr.Pop(id)
-				if !ok {
-					return
-				}
-				if v == 0 {
-					// The lucky worker aborts the whole search; its
-					// waiting peers must all be released.
-					fr.Abort()
-				}
-			}
-		}(i)
-	}
-	exited.Wait() // must not hang
-	if _, _, ok := fr.Pop(0); ok {
-		t.Fatal("Pop after Abort returned work")
 	}
 }
 

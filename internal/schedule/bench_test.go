@@ -3,7 +3,6 @@ package schedule
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"fastmon/internal/detect"
@@ -34,33 +33,19 @@ func benchData(nFaults, nPatterns int) ([]detect.FaultData, Options) {
 	return data, Options{Cfg: cfg, Method: ILP, Coverage: 0.97}
 }
 
-func benchWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 2
-}
-
-// BenchmarkScheduleBuild pits the fully serial schedule construction
-// (Workers=1 everywhere: Step-2 loop and inner solvers) against the
-// parallel pipeline (CI pairs the variants into BENCH_schedule.json).
+// BenchmarkScheduleBuild measures one full schedule construction: the
+// range table, Step 1, fault dropping and the Step-2 loop.
 func BenchmarkScheduleBuild(b *testing.B) {
 	data, opt := benchData(300, 16)
-	run := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			o := opt
-			o.Workers = workers
-			for i := 0; i < b.N; i++ {
-				s, err := Build(context.Background(), data, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !s.FreqOptimal {
-					b.Fatal("benchmark instance must solve to optimality")
-				}
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s, err := Build(context.Background(), data, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !s.FreqOptimal {
+				b.Fatal("benchmark instance must solve to optimality")
 			}
 		}
-	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(benchWorkers()))
+	})
 }

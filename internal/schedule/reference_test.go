@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -55,7 +54,7 @@ func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (
 	case opt.Method == ILP && quota == coverable:
 		var res ilp.CoverResult
 		res, err = solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, universe, ilp.Options{Workers: opt.Workers})
+			return ilp.SetCover(sctx, sets, universe, ilp.Options{})
 		})
 		selected, s.FreqOptimal = res.Selected, res.Optimal
 		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
@@ -63,7 +62,7 @@ func referenceBuild(ctx context.Context, data []detect.FaultData, opt Options) (
 	case opt.Method == ILP:
 		var res ilp.CoverResult
 		res, err = solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{Workers: opt.Workers})
+			return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{})
 		})
 		selected, s.FreqOptimal = res.Selected, res.Optimal
 		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
@@ -177,7 +176,7 @@ func referenceOptimizeCombos(ctx context.Context, data []detect.FaultData, plan 
 	var chosen []int
 	if opt.Method == ILP {
 		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, target, ilp.Options{Workers: opt.Workers})
+			return ilp.SetCover(sctx, sets, target, ilp.Options{})
 		})
 		if err != nil {
 			return err
@@ -237,11 +236,8 @@ func referenceData(seed int64, nFaults, nPatterns, nDelays int) ([]detect.FaultD
 // range-table overhaul: the memoized Build must produce schedules
 // bit-identical to the pre-overhaul reference kernel, across the paper's
 // s27 suite and generated circuits, all methods, full and partial
-// coverage, FreeConfig on and off, and Workers ∈ {1, 4}.
+// coverage, and FreeConfig on and off.
 func TestScheduleKernelMatchesReference(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
 	type instance struct {
 		name string
 		data []detect.FaultData
@@ -264,25 +260,20 @@ func TestScheduleKernelMatchesReference(t *testing.T) {
 					}
 					o := inst.opt
 					o.Method, o.Coverage, o.FreeConfig = m, cov, free
-					o.Workers = 1
 					name := fmt.Sprintf("%s/%v/cov=%g/free=%v", inst.name, m, cov, free)
 					ref, err := referenceBuild(context.Background(), inst.data, o)
 					if err != nil {
 						t.Fatalf("%s reference: %v", name, err)
 					}
-					for _, w := range []int{1, 4} {
-						o.Workers = w
-						got, err := Build(context.Background(), inst.data, o)
-						if err != nil {
-							t.Fatalf("%s workers=%d: %v", name, w, err)
-						}
-						if !scheduleEqual(ref, got) {
-							t.Fatalf("%s workers=%d: schedule differs from reference:\nref: %+v\nnew: %+v",
-								name, w, ref, got)
-						}
-						if err := Validate(inst.data, got, o); err != nil {
-							t.Fatalf("%s workers=%d: %v", name, w, err)
-						}
+					got, err := Build(context.Background(), inst.data, o)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !scheduleEqual(ref, got) {
+						t.Fatalf("%s: schedule differs from reference:\nref: %+v\nnew: %+v", name, ref, got)
+					}
+					if err := Validate(inst.data, got, o); err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
 				}
 			}
@@ -291,8 +282,8 @@ func TestScheduleKernelMatchesReference(t *testing.T) {
 }
 
 // TestRangeMemoMetrics checks the memo's observability wiring: building a
-// schedule under an observer must record table entries as misses, combo
-// lookups as hits, and a Step-2 utilization gauge in (0, 1].
+// schedule under an observer must record table entries as misses and
+// combo lookups as hits.
 func TestRangeMemoMetrics(t *testing.T) {
 	data, opt := referenceData(42, 120, 8, 3)
 	o := obs.New(nil)
@@ -302,7 +293,6 @@ func TestRangeMemoMetrics(t *testing.T) {
 	}
 	misses := o.Counter("schedule.range_memo_misses").Value()
 	hits := o.Counter("schedule.range_memo_hits").Value()
-	util := o.Gauge("schedule.worker_utilization").Value()
 	entries := int64(0)
 	for _, fd := range data {
 		entries += int64(len(fd.Per) * len(opt.Delays))
@@ -312,8 +302,5 @@ func TestRangeMemoMetrics(t *testing.T) {
 	}
 	if hits <= 0 {
 		t.Fatalf("range_memo_hits = %d, want > 0", hits)
-	}
-	if util <= 0 || util > 1.0001 {
-		t.Fatalf("worker_utilization = %f, want in (0, 1]", util)
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"log/slog"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastmon/internal/bitset"
@@ -27,7 +25,6 @@ import (
 	"fastmon/internal/ilp"
 	"fastmon/internal/interval"
 	"fastmon/internal/obs"
-	"fastmon/internal/par"
 	"fastmon/internal/tunit"
 )
 
@@ -81,16 +78,9 @@ type Options struct {
 	FreeConfig bool
 	// SolverBudget bounds each exact solve; exceeding it falls back to
 	// the best incumbent (the paper aborts its ILP after 1 hour). Zero
-	// means 10 seconds. The budget is per solve: when Step 2 fans out
-	// across workers, every in-flight solve keeps its own full window, so
-	// the degradation behaviour does not depend on the worker count.
+	// means 10 seconds. The budget is per solve: Step 1 and every Step-2
+	// period solve run one after another, each with its own full window.
 	SolverBudget time.Duration
-	// Workers bounds the Step-2 fan-out across periods and the worker
-	// pool inside each exact covering solve; zero or negative means one
-	// worker per CPU (par.ClampWorkers). Completed builds are
-	// bit-identical for every worker count: the per-period solves are
-	// independent and their bookkeeping merge is commutative.
-	Workers int
 }
 
 func (o Options) budget() time.Duration {
@@ -141,11 +131,7 @@ type SolverStats struct {
 	MaxGap float64 `json:"max_gap,omitempty"`
 }
 
-// add rolls one exact solve's effort into the totals. It is not itself
-// goroutine-safe (SolverStats is a plain value that gets copied and
-// JSON-marshaled); Build serializes concurrent merges under one mutex.
-// Every merged quantity is commutative — sums and a max — so the merged
-// totals are order-independent.
+// add rolls one exact solve's effort into the totals.
 func (st *SolverStats) add(res ilp.CoverResult) {
 	st.Solves++
 	st.Nodes += res.Nodes
@@ -222,8 +208,7 @@ func Build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 // irrelevant; what matters is the exact detection-range structure (the
 // Step-1 frequency cover and the Step-2 combo covers are both functions of
 // it), the delay elements, the method, the coverage target, and the solver
-// budget (a different budget can settle on a different incumbent). Worker
-// count is excluded: builds are bit-identical for any parallelism.
+// budget (a different budget can settle on a different incumbent).
 func cacheKey(data []detect.FaultData, opt Options) cache.Key {
 	h := cache.NewHasher("schedule")
 	h.Int("faults", int64(len(data)))
@@ -385,7 +370,7 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 	switch {
 	case opt.Method == ILP && quota == coverable:
 		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, universe, ilp.Options{Workers: opt.Workers})
+			return ilp.SetCover(sctx, sets, universe, ilp.Options{})
 		})
 		if err != nil {
 			return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
@@ -395,7 +380,7 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 		s.Solver.add(res)
 	case opt.Method == ILP:
 		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{Workers: opt.Workers})
+			return ilp.PartialCover(sctx, sets, universe, quota, ilp.Options{})
 		})
 		if err != nil {
 			return nil, fmerr.Wrap(fmerr.StageSchedule, "frequency-selection", err)
@@ -463,85 +448,24 @@ func build(ctx context.Context, data []detect.FaultData, opt Options) (*Schedule
 	s.Covered = assigned.Count()
 
 	// Step 2: per period, minimum pattern-configuration selection. The
-	// periods are independent after fault dropping, so the solves fan out
-	// across a bounded worker pool. Each worker owns the plans it pulls;
-	// the shared bookkeeping (CombosOptimal, Degradation, SolverStats)
-	// funnels through one mutex-guarded merge whose operations are all
-	// commutative (AND, max, sums), so the resulting Schedule is
-	// bit-identical to the serial build.
+	// periods are independent after fault dropping; each is solved in
+	// turn.
 	s.CombosOptimal = true
-	workers := par.ClampWorkers(opt.Workers)
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		mu       sync.Mutex
-		nextPlan atomic.Int64
-		errIdx   int
-		firstErr error
-		busyNs   atomic.Int64
-		hits     atomic.Int64
-	)
-	step2Start := time.Now()
-	record := func(res ilp.CoverResult, isILP bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !isILP {
-			s.CombosOptimal = false
-			return
+	hits := int64(0)
+	for pi := range plans {
+		if err := ctx.Err(); err != nil {
+			return nil, fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
 		}
-		if !res.Optimal {
-			s.CombosOptimal = false
+		if err := chaos.Point(ctx, ptCombo); err != nil {
+			return nil, fmerr.Wrap(fmerr.StageSchedule, "combo-selection", err)
 		}
-		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
-		s.Solver.add(res)
-	}
-	par.Run(workers, func(int) {
-		for {
-			pi := int(nextPlan.Add(1)) - 1
-			if pi >= len(plans) {
-				return
-			}
-			mu.Lock()
-			bail := firstErr != nil
-			mu.Unlock()
-			if bail {
-				return
-			}
-			var err error
-			if cerr := ctx.Err(); cerr != nil {
-				err = fmerr.Wrap(fmerr.StageSchedule, "combo-selection", cerr)
-			} else if cerr := chaos.Point(ctx, ptCombo); cerr != nil {
-				err = fmerr.Wrap(fmerr.StageSchedule, "combo-selection", cerr)
-			} else {
-				t0 := time.Now()
-				err = optimizeCombos(ctx, data, tbl, &plans[pi], opt, &hits, record)
-				busyNs.Add(int64(time.Since(t0)))
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil || pi < errIdx {
-					firstErr, errIdx = err, pi
-				}
-				mu.Unlock()
-				return
-			}
+		n, err := optimizeCombos(ctx, data, tbl, &plans[pi], opt, s)
+		if err != nil {
+			return nil, err
 		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
+		hits += n
 	}
-	o := obs.From(ctx)
-	o.Counter("schedule.range_memo_hits").Add(hits.Load())
-	if poolNs := int64(workers) * int64(time.Since(step2Start)); poolNs > 0 {
-		o.Gauge("schedule.worker_utilization").Set(float64(busyNs.Load()) / float64(poolNs))
-	}
-	if workers > 1 {
-		o.Counter("schedule.parallel_combos").Add(int64(len(plans)))
-	}
+	obs.From(ctx).Counter("schedule.range_memo_hits").Add(hits)
 	sort.Slice(plans, func(a, b int) bool { return plans[a].Period < plans[b].Period })
 	s.Periods = plans
 	return s, nil
@@ -582,16 +506,14 @@ func solveBudgeted(ctx context.Context, opt Options,
 // optimizeCombos fills plan.Combos with a minimal covering set of
 // (pattern, config) combinations for the faults assigned to the period.
 // Detection ranges come from the shared memo table — each lookup is a
-// binary-search Contains on a prebuilt canonical set (counted into hits)
-// instead of a fresh clip/shift/union cascade. The caller owns plan;
-// shared schedule bookkeeping goes through record, which must be safe for
-// concurrent use (Step 2 fans out across plans).
+// binary-search Contains on a prebuilt canonical set instead of a fresh
+// clip/shift/union cascade; it returns the number of lookups. The solve's
+// optimality, degradation and effort are merged into s.
 func optimizeCombos(ctx context.Context, data []detect.FaultData, tbl *rangeTable, plan *PeriodPlan,
-	opt Options, hits *atomic.Int64, record func(res ilp.CoverResult, isILP bool)) error {
+	opt Options, s *Schedule) (lookups int64, err error) {
 
 	type key struct{ pattern, config int }
 	cover := map[key]*bitset.Set{}
-	lookups := int64(0)
 	for _, fi := range plan.Faults {
 		prs := data[fi].Per
 		rows := tbl.per[fi]
@@ -608,7 +530,6 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, tbl *rangeTabl
 			}
 		}
 	}
-	hits.Add(lookups)
 	keys := make([]key, 0, len(cover))
 	for k := range cover {
 		keys = append(keys, k)
@@ -630,25 +551,28 @@ func optimizeCombos(ctx context.Context, data []detect.FaultData, tbl *rangeTabl
 	var chosen []int
 	if opt.Method == ILP {
 		res, err := solveBudgeted(ctx, opt, func(sctx context.Context) (ilp.CoverResult, error) {
-			return ilp.SetCover(sctx, sets, target, ilp.Options{Workers: opt.Workers})
+			return ilp.SetCover(sctx, sets, target, ilp.Options{})
 		})
 		if err != nil {
-			return fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
+			return lookups, fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
 		}
 		chosen = res.Selected
-		record(res, true)
+		if !res.Optimal {
+			s.CombosOptimal = false
+		}
+		s.Degradation = fmerr.Worse(s.Degradation, res.Degradation)
+		s.Solver.add(res)
 	} else {
-		var err error
 		chosen, err = ilp.GreedyCover(sets, target)
 		if err != nil {
-			return fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
+			return lookups, fmerr.Wrap(fmerr.StageSchedule, fmt.Sprintf("combo-selection@%s", plan.Period), err)
 		}
-		record(ilp.CoverResult{}, false)
+		s.CombosOptimal = false
 	}
 	for _, i := range chosen {
 		plan.Combos = append(plan.Combos, Combo{Pattern: keys[i].pattern, Config: keys[i].config})
 	}
-	return nil
+	return lookups, nil
 }
 
 // Validate checks that the schedule really covers every fault it claims:

@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,35 +284,52 @@ func scheduleEqual(a, b *Schedule) bool {
 	return true
 }
 
-// TestBuildParallelMatchesSerial is the schedule half of the differential
-// suite: Workers=1 and Workers>1 builds must produce bit-identical
-// schedules for every method.
+// TestBuildParallelMatchesSerial checks the one parallel layer schedule
+// construction takes part in: the suite fan-out runs independent Builds
+// concurrently, and they share the package scratch pools. Every method and
+// coverage is built alone first, then all of them from four goroutines at
+// once; each concurrent schedule must equal its serial one.
 func TestBuildParallelMatchesSerial(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
+	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	data, opt := buildS27(t)
+	var opts []Options
 	for _, m := range []Method{ILP, Heuristic, Conventional} {
 		for _, cov := range []float64{1.0, 0.95} {
 			o := opt
 			o.Method, o.Coverage = m, cov
-			o.Workers = 1
-			ref, err := Build(context.Background(), data, o)
-			if err != nil {
-				t.Fatalf("%v cov=%g serial: %v", m, cov, err)
-			}
-			for _, w := range []int{2, 8} {
-				o.Workers = w
-				got, err := Build(context.Background(), data, o)
-				if err != nil {
-					t.Fatalf("%v cov=%g workers=%d: %v", m, cov, w, err)
-				}
-				if !scheduleEqual(ref, got) {
-					t.Fatalf("%v cov=%g workers=%d: schedule differs from serial:\nserial: %+v\nparallel: %+v",
-						m, cov, w, ref, got)
-				}
-			}
+			opts = append(opts, o)
 		}
 	}
+	ref := make([]*Schedule, len(opts))
+	for i, o := range opts {
+		s, err := Build(context.Background(), data, o)
+		if err != nil {
+			t.Fatalf("%v cov=%g serial: %v", o.Method, o.Coverage, err)
+		}
+		ref[i] = s
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range opts {
+				i := (k + g) % len(opts)
+				o := opts[i]
+				got, err := Build(context.Background(), data, o)
+				if err != nil {
+					t.Errorf("%v cov=%g goroutine %d: %v", o.Method, o.Coverage, g, err)
+					return
+				}
+				if !scheduleEqual(ref[i], got) {
+					t.Errorf("%v cov=%g goroutine %d: schedule differs from serial:\nserial: %+v\nconcurrent: %+v",
+						o.Method, o.Coverage, g, ref[i], got)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestMetrics(t *testing.T) {
