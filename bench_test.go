@@ -171,11 +171,12 @@ func BenchmarkFaultInjection(b *testing.B) {
 	faults := fault.Universe(c)
 	horizon := sta.Analyze(c, a).NominalClock(0.05) + 1
 	delta := a.Lib.FaultSize()
+	sc := e.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := faults[i%len(faults)]
-		e.FaultSim(base, f.Injection(delta), horizon)
+		e.FaultSimScratch(base, f.Injection(delta), horizon, sc, nil)
 	}
 }
 

@@ -34,14 +34,10 @@ import (
 	"fastmon/internal/tunit"
 )
 
-// Chaos injection points at the two worker-dispatch boundaries: one per
-// fault-free baseline (phase A), one per fault shard (phase B). Both
-// sit inside the worker goroutines, so injected panics exercise the
-// recover-and-attribute paths below.
-var (
-	ptBaseline = chaos.Register("detect.baseline", fmerr.StageDetect)
-	ptShard    = chaos.Register("detect.shard", fmerr.StageDetect)
-)
+// ptBaseline is the chaos injection point at every pattern a worker
+// claims, before its fault-free baseline. It sits inside the worker pool,
+// so injected panics exercise the recover-and-attribute path of run.
+var ptBaseline = chaos.Register("detect.baseline", fmerr.StageDetect)
 
 // Config parameterizes the detection-range computation.
 type Config struct {
@@ -57,7 +53,7 @@ type Config struct {
 	Glitch tunit.Time
 	// Workers bounds the simulation goroutines, resolved by
 	// par.ClampWorkersFor: zero and negative values use every CPU,
-	// requests beyond GOMAXPROCS or the fault count are cut down instead
+	// requests beyond GOMAXPROCS or the pattern count are cut down instead
 	// of oversubscribing.
 	Workers int
 	// SlowSim is the escape hatch that routes every (fault, pattern) pair
@@ -193,44 +189,16 @@ func (pr PatternRange) CombinedFreeInto(cfg Config, delays []tunit.Time, acc *in
 // instead of crashing the process. Always nil in production.
 var testHookPanic func(f fault.Fault, pattern int)
 
-// shardRange is a contiguous slice [Lo, Hi) of the fault list.
-type shardRange struct{ lo, hi int }
-
-// shardFaults splits the fault list into contiguous shards that never
-// split one gate's faults apart: faults sharing an injection site share a
-// fanout cone, so the worker that claims a shard evaluates closely related
-// cones back to back with one warm scratch arena. Several shards per
-// worker leave the dynamic dispatcher room to balance uneven cone sizes.
-func shardFaults(faults []fault.Fault, workers int) []shardRange {
-	if len(faults) == 0 {
-		return nil
-	}
-	target := (len(faults) + workers*4 - 1) / (workers * 4)
-	if target < 1 {
-		target = 1
-	}
-	var out []shardRange
-	lo := 0
-	for i := 1; i < len(faults); i++ {
-		if i-lo >= target && faults[i].Gate != faults[i-1].Gate {
-			out = append(out, shardRange{lo, i})
-			lo = i
-		}
-	}
-	return append(out, shardRange{lo, len(faults)})
-}
-
 // Run simulates every fault under every pattern and returns the sparse
 // detection data, ordered like the fault list.
 //
-// The driver works in pattern chunks: each chunk's fault-free baselines
-// are computed once in parallel into pooled buffers, then the fault list —
-// sharded by injection site so workers keep cone locality and reuse one
-// scratch arena each — is swept over the cached baselines with the
-// event-driven simulator. Faults whose fanout cone reaches no observation
-// point are skipped outright (they cannot be detected); Config.SlowSim
-// routes everything through the naive reference engine instead and
-// disables that pruning.
+// Workers claim patterns off a shared cursor. For each pattern a worker
+// computes the fault-free baseline into its own buffer and sweeps the
+// fault list over it with the event-driven simulator and its own scratch
+// arena. Faults whose fanout cone reaches no observation point are
+// skipped outright (they cannot be detected); Config.SlowSim routes
+// everything through the naive reference engine instead and disables
+// that pruning.
 //
 // A panic in a worker is recovered and converted to a *fmerr.PanicError
 // naming the fault and pattern being simulated; it fails the run, not the
@@ -352,61 +320,89 @@ func cacheKey(e *sim.Engine, placement *monitor.Placement, faults []fault.Fault,
 	return h.Key()
 }
 
+// hit is one detecting (fault, pattern) pair, recorded under its pattern
+// by the worker that swept it.
+type hit struct {
+	fault int
+	pr    PatternRange
+}
+
 // run is the uncached body of Run.
 func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, faults []fault.Fault,
 	patterns []sim.Pattern, cfg Config) ([]FaultData, error) {
 
-	workers := par.ClampWorkersFor(cfg.Workers, len(faults))
+	workers := par.ClampWorkersFor(cfg.Workers, len(patterns))
 	horizon := cfg.Clk + 1
 
-	// Telemetry: per-run atomics (rolled into the shared registry at the
-	// end, so events/sec reflects this run, not the process lifetime).
-	// busyNs accumulates per-shard and per-baseline worker time;
-	// utilization is the busy fraction of the pool's wall-clock capacity.
+	// Every pattern sweeps the same live list: the faults whose cone
+	// reaches an observation point (all of them under SlowSim), with their
+	// injections precomputed.
+	type liveFault struct {
+		fault int
+		inj   sim.Injection
+	}
+	live := make([]liveFault, 0, len(faults))
+	for fi, f := range faults {
+		if cfg.SlowSim || e.C.ReachesTap(f.Gate) {
+			live = append(live, liveFault{fi, f.Injection(cfg.Delta)})
+		}
+	}
+	dead := int64(len(faults) - len(live))
+
+	// Telemetry: each worker tallies privately and publishes once on exit;
+	// the totals are rolled into the shared registry at the end, so
+	// events/sec reflects this run, not the process lifetime. Utilization
+	// is the busy fraction of the pool's wall-clock capacity.
+	type tally struct {
+		sims, hits, panics, skipped int64
+		busy                        time.Duration
+		st                          sim.Stats
+	}
+	tallies := make([]tally, workers)
 	start := time.Now()
 	_, span := obs.StartSpan(ctx, "detect")
 	// The flight recorder journals worker lifecycle transitions (nil-safe
-	// no-op without one); hoisted out of the worker loops.
+	// no-op without one).
 	rec := obs.From(ctx).Flight()
-	var nSims, nDetections, nPanics, nSkipped, busyNs atomic.Int64
-	var simStats sim.Stats
-	var statsMu sync.Mutex
 	defer func() {
+		var sum tally
+		for _, t := range tallies {
+			sum.sims += t.sims
+			sum.hits += t.hits
+			sum.panics += t.panics
+			sum.skipped += t.skipped
+			sum.busy += t.busy
+			sum.st.Add(t.st)
+		}
 		o := obs.From(ctx)
 		wall := time.Since(start)
-		o.Counter("detect.sims").Add(nSims.Load())
-		o.Counter("detect.detections").Add(nDetections.Load())
-		o.Counter("detect.panics_recovered").Add(nPanics.Load())
-		o.Counter("detect.cone_skipped_pairs").Add(nSkipped.Load())
-		o.Counter("detect.sim_events").Add(simStats.Events)
-		o.Counter("detect.sim_converged").Add(simStats.Converged)
-		o.Counter("detect.sim_pruned_gates").Add(simStats.Pruned)
-		o.Counter("detect.sim_early_exits").Add(simStats.EarlyExits)
+		o.Counter("detect.sims").Add(sum.sims)
+		o.Counter("detect.detections").Add(sum.hits)
+		o.Counter("detect.panics_recovered").Add(sum.panics)
+		o.Counter("detect.cone_skipped_pairs").Add(sum.skipped)
+		o.Counter("detect.sim_events").Add(sum.st.Events)
+		o.Counter("detect.sim_converged").Add(sum.st.Converged)
+		o.Counter("detect.sim_pruned_gates").Add(sum.st.Pruned)
+		o.Counter("detect.sim_early_exits").Add(sum.st.EarlyExits)
 		if s := wall.Seconds(); s > 0 {
-			o.Gauge("detect.sims_per_sec").Set(float64(nSims.Load()) / s)
+			o.Gauge("detect.sims_per_sec").Set(float64(sum.sims) / s)
 		}
 		if poolNs := int64(workers) * int64(wall); poolNs > 0 {
-			o.Gauge("detect.worker_utilization").Set(float64(busyNs.Load()) / float64(poolNs))
+			o.Gauge("detect.worker_utilization").Set(float64(sum.busy) / float64(poolNs))
 		}
 		span.End(
 			slog.Int("faults", len(faults)),
 			slog.Int("patterns", len(patterns)),
 			slog.Int("workers", workers),
 			slog.Bool("slowsim", cfg.SlowSim),
-			slog.Int64("sims", nSims.Load()),
-			slog.Int64("detections", nDetections.Load()),
-			slog.Int64("events", simStats.Events),
-			slog.Int64("cone_skipped", nSkipped.Load()))
+			slog.Int64("sims", sum.sims),
+			slog.Int64("detections", sum.hits),
+			slog.Int64("events", sum.st.Events),
+			slog.Int64("cone_skipped", sum.skipped))
 	}()
 
-	// perFault[fi] is written by exactly one worker per chunk (shards
-	// partition the fault list) with chunks separated by wg.Wait, so the
-	// rows need no locking and come out in ascending pattern order.
-	perFault := make([][]PatternRange, len(faults))
-	shards := shardFaults(faults, workers)
-
 	// Workers cancel the pool on first failure so their peers stop
-	// promptly instead of draining the remaining shards.
+	// promptly instead of draining the remaining patterns.
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -422,212 +418,120 @@ func run(ctx context.Context, e *sim.Engine, placement *monitor.Placement, fault
 		errMu.Unlock()
 		cancel()
 	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
 
-	// Chunk size bounds baseline-cache memory (chunk × gates waveforms)
-	// while amortizing each baseline over every fault that sees it.
-	chunk := workers * 4
-	if chunk < 16 {
-		chunk = 16
-	}
-	if chunk > 64 {
-		chunk = 64
-	}
-	if chunk > len(patterns) {
-		chunk = len(patterns)
-	}
-	baselines := make([][]sim.Waveform, chunk)
-	defer func() {
-		for _, b := range baselines {
-			if b != nil {
-				e.ReleaseBaseline(b)
+	// hits[pi] is written only by the worker that claimed pattern pi.
+	hits := make([][]hit, len(patterns))
+	var cursor atomic.Int64
+	par.Run(workers, func(w int) {
+		rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.worker", Stage: "detect", Detail: "start", Value: int64(w)})
+		defer rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.worker", Stage: "detect", Detail: "done", Value: int64(w)})
+		var t tally
+		defer func() { tallies[w] = t }()
+		// curFault/curPat track the work item for panic attribution;
+		// curFault < 0 while the baseline is being computed.
+		curFault, curPat := -1, -1
+		defer func() {
+			if r := recover(); r != nil {
+				t.panics++
+				item := fmt.Sprintf("baseline for pattern %d", curPat)
+				if curFault >= 0 {
+					item = fmt.Sprintf("fault %s under pattern %d",
+						faults[curFault].Injection(cfg.Delta), curPat)
+				}
+				rec.Record(flight.Event{Kind: flight.KindPanic, Name: "detect.worker", Stage: "detect",
+					Detail: fmt.Sprintf("%s: %v", item, r), Value: int64(w)})
+				fail(fmerr.NewPanic(fmerr.StageDetect, item, r))
 			}
-		}
-	}()
-
-	for lo := 0; lo < len(patterns); lo += chunk {
-		if wctx.Err() != nil {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(patterns) {
-			hi = len(patterns)
-		}
-
-		// Phase A: fault-free baselines for the chunk, in parallel, into
-		// pooled buffers reused across chunks.
-		var pcursor atomic.Int64
-		pcursor.Store(int64(lo))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.baseline", Stage: "detect", Detail: "start", Value: int64(w)})
-				defer rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.baseline", Stage: "detect", Detail: "done", Value: int64(w)})
-				cur := -1
-				defer func() {
-					if r := recover(); r != nil {
-						nPanics.Add(1)
-						rec.Record(flight.Event{Kind: flight.KindPanic, Name: "detect.baseline", Stage: "detect",
-							Detail: fmt.Sprintf("baseline for pattern %d: %v", cur, r), Value: int64(w)})
-						fail(fmerr.NewPanic(fmerr.StageDetect,
-							fmt.Sprintf("baseline for pattern %d", cur), r))
-					}
-				}()
-				for {
-					pi := int(pcursor.Add(1)) - 1
-					if pi >= hi || wctx.Err() != nil {
-						return
-					}
-					cur = pi
-					if err := chaos.Point(wctx, ptBaseline); err != nil {
-						fail(fmerr.Wrap(fmerr.StageDetect, "baseline", err))
-						return
-					}
-					t0 := time.Now()
-					if baselines[pi-lo] == nil {
-						baselines[pi-lo] = e.AcquireBaseline()
-					}
-					if err := e.BaselineInto(wctx, patterns[pi], baselines[pi-lo]); err != nil {
-						fail(err)
-						return
-					}
-					busyNs.Add(int64(time.Since(t0)))
+		}()
+		base := make([]sim.Waveform, len(e.C.Gates))
+		sc := e.NewScratch()
+		// ffAcc/srAcc accumulate the per-pattern range unions into reused
+		// buffers.
+		var ffAcc, srAcc interval.Accum
+		for {
+			pi := int(cursor.Add(1)) - 1
+			if pi >= len(patterns) || wctx.Err() != nil {
+				return
+			}
+			curFault, curPat = -1, pi
+			if err := chaos.Point(wctx, ptBaseline); err != nil {
+				fail(fmerr.Wrap(fmerr.StageDetect, "baseline", err))
+				return
+			}
+			t0 := time.Now()
+			if err := e.BaselineInto(wctx, patterns[pi], base); err != nil {
+				fail(err)
+				return
+			}
+			t.skipped += dead
+			for n, lf := range live {
+				if n&63 == 63 && wctx.Err() != nil {
+					fail(fmerr.Wrap(fmerr.StageDetect, "run", wctx.Err()))
+					t.busy += time.Since(t0)
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if failed() {
-			break
-		}
-
-		// Phase B: fault shards × chunk patterns over the cached
-		// baselines. Each worker owns one scratch arena and one Stats.
-		var scursor atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.shard", Stage: "detect", Detail: "start", Value: int64(w)})
-				defer rec.Record(flight.Event{Kind: flight.KindWorker, Name: "detect.shard", Stage: "detect", Detail: "done", Value: int64(w)})
-				// curFault/curPat track the work item for panic attribution.
-				curFault, curPat := -1, -1
-				defer func() {
-					if r := recover(); r != nil {
-						nPanics.Add(1)
-						item := fmt.Sprintf("pattern %d", curPat)
-						if curFault >= 0 {
-							item = fmt.Sprintf("fault %s under pattern %d",
-								faults[curFault].Injection(cfg.Delta), curPat)
-						}
-						rec.Record(flight.Event{Kind: flight.KindPanic, Name: "detect.shard", Stage: "detect",
-							Detail: fmt.Sprintf("%s: %v", item, r), Value: int64(w)})
-						fail(fmerr.NewPanic(fmerr.StageDetect, item, r))
-					}
-				}()
-				sc := e.NewScratch()
-				// ffAcc/srAcc accumulate the per-pattern range unions into
-				// reused buffers; the per-detection Union used to allocate a
-				// fresh merge per tap.
-				var ffAcc, srAcc interval.Accum
-				var st sim.Stats
-				sims, hits, skipped := 0, 0, 0
-				defer func() {
-					nSims.Add(int64(sims))
-					nDetections.Add(int64(hits))
-					nSkipped.Add(int64(skipped))
-					statsMu.Lock()
-					simStats.Add(st)
-					statsMu.Unlock()
-				}()
-				pairs := 0
-				for {
-					si := int(scursor.Add(1)) - 1
-					if si >= len(shards) {
-						return
-					}
-					if err := chaos.Point(wctx, ptShard); err != nil {
-						fail(fmerr.Wrap(fmerr.StageDetect, "shard", err))
-						return
-					}
-					t0 := time.Now()
-					for fi := shards[si].lo; fi < shards[si].hi; fi++ {
-						f := faults[fi]
-						curFault, curPat = fi, -1
-						if !cfg.SlowSim && !e.C.ReachesTap(f.Gate) {
-							skipped += hi - lo
-							continue
-						}
-						inj := f.Injection(cfg.Delta)
-						for pi := lo; pi < hi; pi++ {
-							if pairs&63 == 0 && wctx.Err() != nil {
-								fail(fmerr.Wrap(fmerr.StageDetect, "run", wctx.Err()))
-								busyNs.Add(int64(time.Since(t0)))
-								return
-							}
-							pairs++
-							curPat = pi
-							if testHookPanic != nil {
-								testHookPanic(f, pi)
-							}
-							sims++
-							var dets []sim.Detection
-							if cfg.SlowSim {
-								dets = e.FaultSimNaive(baselines[pi-lo], inj, horizon)
-							} else {
-								dets = e.FaultSimScratch(baselines[pi-lo], inj, horizon, sc, &st)
-							}
-							if len(dets) == 0 {
-								continue
-							}
-							ffAcc.Reset()
-							srAcc.Reset()
-							for _, d := range dets {
-								diff := d.Diff.FilterShort(cfg.Glitch)
-								if diff.Empty() {
-									continue
-								}
-								ffAcc.Add(diff)
-								if placement != nil && placement.Covers(d.Tap) {
-									srAcc.Add(diff)
-								}
-							}
-							if ffAcc.Empty() && srAcc.Empty() {
-								continue
-							}
-							perFault[fi] = append(perFault[fi], PatternRange{Pattern: pi, FF: ffAcc.Copy(), SR: srAcc.Copy()})
-							hits++
-						}
-					}
-					busyNs.Add(int64(time.Since(t0)))
+				curFault = lf.fault
+				if testHookPanic != nil {
+					testHookPanic(faults[lf.fault], pi)
 				}
-			}(w)
+				t.sims++
+				var dets []sim.Detection
+				if cfg.SlowSim {
+					dets = e.FaultSimNaive(base, lf.inj, horizon)
+				} else {
+					dets = e.FaultSimScratch(base, lf.inj, horizon, sc, &t.st)
+				}
+				if len(dets) == 0 {
+					continue
+				}
+				ffAcc.Reset()
+				srAcc.Reset()
+				for _, d := range dets {
+					diff := d.Diff.FilterShort(cfg.Glitch)
+					if diff.Empty() {
+						continue
+					}
+					ffAcc.Add(diff)
+					if placement != nil && placement.Covers(d.Tap) {
+						srAcc.Add(diff)
+					}
+				}
+				if ffAcc.Empty() && srAcc.Empty() {
+					continue
+				}
+				hits[pi] = append(hits[pi], hit{lf.fault, PatternRange{Pattern: pi, FF: ffAcc.Copy(), SR: srAcc.Copy()}})
+				t.hits++
+			}
+			t.busy += time.Since(t0)
 		}
-		wg.Wait()
-		if failed() {
-			break
-		}
-	}
+	})
 
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	// No worker failed; a cancelled parent context still aborts the run.
 	if err := ctx.Err(); err != nil {
 		return nil, fmerr.Wrap(fmerr.StageDetect, "run", err)
 	}
 
+	// Regroup by fault in pattern order into exact-size rows.
+	counts := make([]int, len(faults))
+	for _, hs := range hits {
+		for _, h := range hs {
+			counts[h.fault]++
+		}
+	}
 	out := make([]FaultData, len(faults))
 	for fi, f := range faults {
-		out[fi] = FaultData{Fault: f, Per: perFault[fi]}
+		out[fi].Fault = f
+		if counts[fi] > 0 {
+			out[fi].Per = make([]PatternRange, 0, counts[fi])
+		}
+	}
+	for _, hs := range hits {
+		for _, h := range hs {
+			out[h.fault].Per = append(out[h.fault].Per, h.pr)
+		}
 	}
 	return out, nil
 }

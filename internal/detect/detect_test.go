@@ -244,7 +244,8 @@ func TestRunNoMonitors(t *testing.T) {
 
 // TestWorkerPanicIsolated proves the chaos hook: a worker panicking on one
 // specific fault yields a typed error naming that fault instead of
-// crashing the process.
+// crashing the process — on the inline single-worker path as well as in
+// the goroutine pool.
 func TestWorkerPanicIsolated(t *testing.T) {
 	e, placement, cfg, faults, pats := testbed(t)
 	victim := faults[len(faults)/2]
@@ -255,27 +256,29 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 	defer func() { testHookPanic = nil }()
 
-	cfg.Workers = 4
-	data, err := Run(context.Background(), e, placement, faults, pats, cfg)
-	if err == nil {
-		t.Fatal("panicking worker did not fail the run")
-	}
-	if data != nil {
-		t.Fatal("partial data returned alongside error")
-	}
-	var pe *fmerr.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is not a PanicError: %v", err)
-	}
-	if pe.Stage != fmerr.StageDetect {
-		t.Fatalf("stage = %q", pe.Stage)
-	}
-	want := victim.Injection(cfg.Delta).String()
-	if !strings.Contains(pe.Item, want) {
-		t.Fatalf("item %q does not name the offending fault %q", pe.Item, want)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("panic stack not captured")
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		data, err := Run(context.Background(), e, placement, faults, pats, cfg)
+		if err == nil {
+			t.Fatalf("Workers=%d: panicking worker did not fail the run", workers)
+		}
+		if data != nil {
+			t.Fatalf("Workers=%d: partial data returned alongside error", workers)
+		}
+		var pe *fmerr.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("Workers=%d: error is not a PanicError: %v", workers, err)
+		}
+		if pe.Stage != fmerr.StageDetect {
+			t.Fatalf("Workers=%d: stage = %q", workers, pe.Stage)
+		}
+		want := victim.Injection(cfg.Delta).String()
+		if !strings.Contains(pe.Item, want) || !strings.Contains(pe.Item, "under pattern") {
+			t.Fatalf("Workers=%d: item %q does not name the offending fault %q and its pattern", workers, pe.Item, want)
+		}
+		if len(pe.Stack) == 0 {
+			t.Fatalf("Workers=%d: panic stack not captured", workers)
+		}
 	}
 }
 

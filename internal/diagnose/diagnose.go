@@ -10,7 +10,7 @@ package diagnose
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"fastmon/internal/fault"
 	"fastmon/internal/monitor"
@@ -55,12 +55,13 @@ type Config struct {
 }
 
 // predictedTaps simulates the candidate under the observation's pattern
-// and returns the tap indices the fault model predicts to fail.
-func predictedTaps(e *sim.Engine, placement *monitor.Placement, base []sim.Waveform,
+// with the caller's scratch arena and returns the tap indices the fault
+// model predicts to fail.
+func predictedTaps(e *sim.Engine, sc *sim.Scratch, placement *monitor.Placement, base []sim.Waveform,
 	f fault.Fault, obs Observation, cfg Config, delays []tunit.Time) []int {
 
 	horizon := obs.Period + placement.MaxDelay() + 1
-	dets := e.FaultSim(base, f.Injection(cfg.Delta), horizon)
+	dets := e.FaultSimScratch(base, f.Injection(cfg.Delta), horizon, sc, nil)
 	var taps []int
 	for _, d := range dets {
 		diff := d.Diff.FilterShort(cfg.Glitch)
@@ -147,37 +148,31 @@ func Run(e *sim.Engine, placement *monitor.Placement, patterns []sim.Pattern,
 		obsTaps[i] = t
 	}
 
-	workers := par.ClampWorkersFor(cfg.Workers, len(candidates))
 	results := make([]Candidate, len(candidates))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				f := candidates[ci]
-				cand := Candidate{Fault: f}
-				for oi, obs := range observations {
-					pred := predictedTaps(e, placement, baselines[obs.Pattern], f, obs, cfg, delays)
-					want := obsTaps[oi]
-					switch {
-					case sameInts(pred, want):
-						cand.Matched++
-					case intersects(pred, want):
-						cand.Partial++
-					}
-				}
-				cand.Score = (float64(cand.Matched) + 0.5*float64(cand.Partial)) / float64(len(observations))
-				results[ci] = cand
+	var cursor atomic.Int64
+	par.Run(par.ClampWorkersFor(cfg.Workers, len(candidates)), func(int) {
+		sc := e.NewScratch()
+		for {
+			ci := int(cursor.Add(1)) - 1
+			if ci >= len(candidates) {
+				return
 			}
-		}()
-	}
-	for ci := range candidates {
-		work <- ci
-	}
-	close(work)
-	wg.Wait()
+			f := candidates[ci]
+			cand := Candidate{Fault: f}
+			for oi, obs := range observations {
+				pred := predictedTaps(e, sc, placement, baselines[obs.Pattern], f, obs, cfg, delays)
+				want := obsTaps[oi]
+				switch {
+				case sameInts(pred, want):
+					cand.Matched++
+				case intersects(pred, want):
+					cand.Partial++
+				}
+			}
+			cand.Score = (float64(cand.Matched) + 0.5*float64(cand.Partial)) / float64(len(observations))
+			results[ci] = cand
+		}
+	})
 
 	var out []Candidate
 	for _, c := range results {
@@ -196,12 +191,13 @@ func ObserveFault(e *sim.Engine, placement *monitor.Placement, patterns []sim.Pa
 	f fault.Fault, apps []Observation, cfg Config) ([]Observation, error) {
 
 	out := make([]Observation, len(apps))
+	sc := e.NewScratch()
 	for i, app := range apps {
 		base, err := e.Baseline(patterns[app.Pattern])
 		if err != nil {
 			return nil, err
 		}
-		taps := predictedTaps(e, placement, base, f, app, cfg, placement.Delays)
+		taps := predictedTaps(e, sc, placement, base, f, app, cfg, placement.Delays)
 		out[i] = Observation{Period: app.Period, Pattern: app.Pattern, Config: app.Config, FailingTaps: taps}
 	}
 	return out, nil

@@ -3,6 +3,8 @@ package diagnose
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"fastmon/internal/atpg"
@@ -130,6 +132,41 @@ func TestDiagnosePassingApplicationsExonerate(t *testing.T) {
 	}
 	if cands[0].Matched != 1 {
 		t.Fatalf("top candidate does not match the pass: %+v", cands[0])
+	}
+}
+
+// TestDiagnoseWorkerCountIndependent pins the ranking to be the same on
+// the inline single-worker path and in the goroutine pool, where every
+// worker simulates with its own scratch arena.
+func TestDiagnoseWorkerCountIndependent(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	e, placement, pats, faults, cfg, clk := bed(t)
+	truth := faults[len(faults)/3]
+	var apps []Observation
+	for pi := range pats {
+		apps = append(apps,
+			Observation{Period: clk * 2 / 5, Pattern: pi, Config: 3},
+			Observation{Period: clk * 4 / 5, Pattern: pi, Config: -1})
+	}
+	obs, err := ObserveFault(e, placement, pats, truth, apps, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranked [][]Candidate
+	for _, w := range []int{1, 4} {
+		cfg.Workers = w
+		cands, err := Run(e, placement, pats, faults, obs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranked = append(ranked, cands)
+	}
+	if len(ranked[0]) == 0 {
+		t.Fatal("no candidates")
+	}
+	if !reflect.DeepEqual(ranked[0], ranked[1]) {
+		t.Fatalf("Workers=1 and Workers=4 rank differently:\n%+v\n%+v", ranked[0], ranked[1])
 	}
 }
 

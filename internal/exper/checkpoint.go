@@ -52,11 +52,13 @@ type TableRequest struct {
 // serialize compactly, and the tables are what the harness is after).
 type CircuitResult struct {
 	Name string `json:"name"`
-	// Scale and MaxFaults fingerprint the configuration the result was
-	// computed under; a resumed run with different settings must not reuse
-	// the entry.
-	Scale     float64 `json:"scale"`
-	MaxFaults int     `json:"max_faults"`
+	// Scale, MaxFaults and SolverBudget fingerprint the configuration the
+	// result was computed under; a resumed run with different settings
+	// must not reuse the entry. The budget matters because budget-bound
+	// ILP incumbents, and so the T2/T3 rows, depend on it.
+	Scale        float64       `json:"scale"`
+	MaxFaults    int           `json:"max_faults"`
+	SolverBudget time.Duration `json:"budget_ns"`
 
 	T1   *T1Row      `json:"t1,omitempty"`
 	T2   *T2Row      `json:"t2,omitempty"`
@@ -98,10 +100,11 @@ func (r *CircuitResult) Satisfies(req TableRequest) bool {
 }
 
 // Matches reports whether the entry was computed under the given suite
-// configuration.
+// configuration. Entries written before the budget was recorded carry a
+// zero budget and never match, so they are recomputed.
 func (r *CircuitResult) Matches(cfg SuiteConfig) bool {
 	cfg = cfg.Defaults()
-	return r.Scale == cfg.Scale && r.MaxFaults == cfg.MaxFaults
+	return r.Scale == cfg.Scale && r.MaxFaults == cfg.MaxFaults && r.SolverBudget == cfg.SolverBudget
 }
 
 // checkpointPath places one circuit's entry in the directory. Suite names
@@ -198,7 +201,8 @@ func LoadCheckpoints(ctx context.Context, dir string, cfg SuiteConfig) (entries 
 			continue
 		}
 		if !res.Matches(cfg) {
-			skipped = append(skipped, fmt.Sprintf("%s: computed under scale %.3f / %d faults", name, res.Scale, res.MaxFaults))
+			skipped = append(skipped, fmt.Sprintf("%s: computed under scale %.3f / %d faults / budget %v",
+				name, res.Scale, res.MaxFaults, res.SolverBudget))
 			continue
 		}
 		entries[res.Name] = &res
@@ -222,7 +226,7 @@ func ComputeCircuit(ctx context.Context, spec Spec, cfg SuiteConfig, req TableRe
 		span.End()
 		return nil, err
 	}
-	res := &CircuitResult{Name: spec.Name, Scale: cfg.Scale, MaxFaults: cfg.MaxFaults}
+	res := &CircuitResult{Name: spec.Name, Scale: cfg.Scale, MaxFaults: cfg.MaxFaults, SolverBudget: cfg.SolverBudget}
 	worst := fmerr.DegradeNone
 	var solver schedule.SolverStats
 	if req.T1 {

@@ -14,11 +14,12 @@ import (
 func fakeResult(name string, cfg SuiteConfig) *CircuitResult {
 	cfg = cfg.Defaults()
 	return &CircuitResult{
-		Name:        name,
-		Scale:       cfg.Scale,
-		MaxFaults:   cfg.MaxFaults,
-		T1:          &T1Row{Name: name, Gates: 123, Conv: 4, Prop: 6, Target: 2},
-		Degradation: fmerr.DegradeNone.String(),
+		Name:         name,
+		Scale:        cfg.Scale,
+		MaxFaults:    cfg.MaxFaults,
+		SolverBudget: cfg.SolverBudget,
+		T1:           &T1Row{Name: name, Gates: 123, Conv: 4, Prop: 6, Target: 2},
+		Degradation:  fmerr.DegradeNone.String(),
 	}
 }
 
@@ -83,6 +84,61 @@ func TestLoadCheckpointsSkipsBadEntries(t *testing.T) {
 	}
 	if len(skipped) != 3 {
 		t.Fatalf("skipped = %v, want 3 entries", skipped)
+	}
+}
+
+// TestCheckpointBudgetMismatchRecomputes: the solver budget is part of an
+// entry's configuration fingerprint, because budget-bound ILP incumbents
+// change the T2/T3 rows. A resumed run under another budget recomputes
+// the circuit, and so does a legacy entry that never recorded a budget.
+func TestCheckpointBudgetMismatchRecomputes(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	cfg := smallCfg()
+	cfg.SolverBudget = 30 * time.Second
+	if err := SaveCheckpoint(ctx, dir, fakeResult("s9234", cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _, err := LoadCheckpoints(ctx, dir, cfg); err != nil || entries["s9234"] == nil {
+		t.Fatalf("same-budget entry not served: entries=%v err=%v", entries, err)
+	}
+
+	other := cfg
+	other.SolverBudget = 5 * time.Second
+	entries, skipped, err := LoadCheckpoints(ctx, dir, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 || len(skipped) != 1 || !strings.Contains(skipped[0], "budget 30s") {
+		t.Fatalf("other-budget entry: entries=%v skipped=%v", entries, skipped)
+	}
+	var cachedSeen, computed bool
+	results, err := RunSuiteCheckpointed(ctx, other, TableRequest{T1: true}, dir, nil,
+		func(ev SuiteEvent) {
+			if ev.Res != nil {
+				cachedSeen = cachedSeen || ev.Cached
+				computed = computed || !ev.Cached
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cachedSeen || !computed {
+		t.Fatalf("resume under another budget served the entry (cached=%v computed=%v)", cachedSeen, computed)
+	}
+	if len(results) != 1 || results[0].SolverBudget != other.SolverBudget {
+		t.Fatalf("recomputed entry does not record its budget: %+v", results)
+	}
+	if entries, _, err := LoadCheckpoints(ctx, dir, other); err != nil || entries["s9234"] == nil {
+		t.Fatalf("recomputed entry not checkpointed under the new budget: entries=%v err=%v", entries, err)
+	}
+
+	legacy := `{"name":"s9234","scale":0.05,"max_faults":800,"t1":{"Name":"s9234"}}`
+	if err := os.WriteFile(checkpointPath(dir, "s9234"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _, err := LoadCheckpoints(ctx, dir, smallCfg()); err != nil || len(entries) != 0 {
+		t.Fatalf("legacy entry without a budget was served: entries=%v err=%v", entries, err)
 	}
 }
 

@@ -50,6 +50,7 @@ func VariationRobustness(ctx context.Context, r *Run, s *schedule.Schedule, sigm
 		}
 		annot := flow.Annot.WithVariation(sigmaFrac, seedBase+int64(trial))
 		e := sim.NewEngine(flow.Circuit, annot)
+		sc := e.NewScratch()
 		baseCache := map[int][]sim.Waveform{}
 		baseline := func(pi int) ([]sim.Waveform, error) {
 			if b, ok := baseCache[pi]; ok {
@@ -72,7 +73,7 @@ func VariationRobustness(ctx context.Context, r *Run, s *schedule.Schedule, sigm
 					if err != nil {
 						return pt, err
 					}
-					dets := e.FaultSim(base, f.Injection(flow.Delta), horizon)
+					dets := e.FaultSimScratch(base, f.Injection(flow.Delta), horizon, sc, nil)
 					if len(dets) == 0 {
 						continue
 					}

@@ -69,13 +69,12 @@ func largestBed(b *testing.B, nPatterns, sampleK int) *benchBed {
 	return bed
 }
 
-// BenchmarkBaselineCached measures one fault-free simulation into a pooled
-// buffer (the per-pattern cost the baseline cache amortizes across all
-// faults of a chunk).
+// BenchmarkBaselineCached measures one fault-free simulation into a reused
+// caller-owned buffer (the per-pattern cost each detect worker amortizes
+// across the whole fault list).
 func BenchmarkBaselineCached(b *testing.B) {
 	bed := largestBed(b, 1, 1)
-	wf := bed.e.AcquireBaseline()
-	defer bed.e.ReleaseBaseline(wf)
+	wf := make([]sim.Waveform, len(bed.c.Gates))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +85,7 @@ func BenchmarkBaselineCached(b *testing.B) {
 }
 
 // BenchmarkFaultSim compares a single fault injection under the
-// event-driven path (pooled scratch, cone-bounded worklist) and the naive
+// event-driven path (reused scratch, cone-bounded worklist) and the naive
 // full-circuit resimulation it is differentially locked to.
 func BenchmarkFaultSim(b *testing.B) {
 	bed := largestBed(b, 1, 1)

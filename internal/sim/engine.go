@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"fastmon/internal/cell"
 	"fastmon/internal/circuit"
@@ -45,8 +44,9 @@ func (in Injection) String() string {
 
 // Engine simulates one annotated circuit. It caches the tap table and the
 // per-gate tap observers so that fault simulation touches only the fanout
-// cone of the injection site, and pools the scratch arenas and baseline
-// buffers of the event-driven fast path.
+// cone of the injection site. An Engine is immutable after NewEngine and
+// holds no pools: callers that simulate in a loop own their baseline
+// buffers and Scratch arenas, so one Engine is safe for concurrent use.
 type Engine struct {
 	C        *circuit.Circuit
 	A        *cell.Annotation
@@ -54,9 +54,6 @@ type Engine struct {
 
 	taps       []circuit.Tap
 	tapsByGate map[int][]int // observed gate -> tap indices
-
-	scratchPool sync.Pool // *Scratch
-	basePool    sync.Pool // []Waveform, len == len(C.Gates)
 }
 
 // NewEngine builds a simulation engine; the inertial pulse threshold comes
@@ -93,17 +90,20 @@ func (e *Engine) Baseline(p Pattern) ([]Waveform, error) {
 // BaselineContext is Baseline with cancellation: the context is polled
 // every few gates of the topological evaluation so a cancelled caller
 // stops mid-circuit instead of after it. The returned slice is freshly
-// allocated and owned by the caller; hot loops that recycle buffers use
-// AcquireBaseline/BaselineInto instead.
+// allocated and owned by the caller; hot loops that recycle a buffer use
+// BaselineInto instead.
 func (e *Engine) BaselineContext(ctx context.Context, p Pattern) ([]Waveform, error) {
 	wf := make([]Waveform, len(e.C.Gates))
-	if err := e.baselineInto(ctx, p, wf); err != nil {
+	if err := e.BaselineInto(ctx, p, wf); err != nil {
 		return nil, err
 	}
 	return wf, nil
 }
 
-func (e *Engine) baselineInto(ctx context.Context, p Pattern, wf []Waveform) error {
+// BaselineInto computes the fault-free waveforms of every gate for the
+// pattern pair into wf, a caller-owned buffer of length len(Gates) that
+// hot loops reuse across patterns. Cancellation matches BaselineContext.
+func (e *Engine) BaselineInto(ctx context.Context, p Pattern, wf []Waveform) error {
 	src := e.C.Sources()
 	if len(p.V1) != len(src) || len(p.V2) != len(src) {
 		return fmt.Errorf("sim: pattern has %d/%d values for %d sources", len(p.V1), len(p.V2), len(src))
@@ -149,15 +149,15 @@ type Detection struct {
 // as soon as a gate's recomputed waveform equals its baseline. Gates the
 // fault effect never reaches are never evaluated. FaultSimNaive is the
 // slow reference it is differentially tested against.
+//
+// FaultSim allocates a fresh Scratch per call; loops over many faults
+// hold one Scratch and call FaultSimScratch.
 func (e *Engine) FaultSim(base []Waveform, inj Injection, horizon tunit.Time) []Detection {
-	sc := e.getScratch()
-	dets := e.FaultSimScratch(base, inj, horizon, sc, nil)
-	e.putScratch(sc)
-	return dets
+	return e.FaultSimScratch(base, inj, horizon, e.NewScratch(), nil)
 }
 
 // FaultSimScratch is FaultSim with a caller-owned scratch arena and
-// optional work counters: the detection-range driver gives every worker
+// optional work counters: detection-range and diagnosis workers each hold
 // one Scratch and one Stats so the hot loop performs no per-fault
 // allocation and no atomic traffic.
 func (e *Engine) FaultSimScratch(base []Waveform, inj Injection, horizon tunit.Time, sc *Scratch, st *Stats) []Detection {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"context"
-
-	"fastmon/internal/circuit"
-)
+import "fastmon/internal/circuit"
 
 // Stats counts the work the event-driven fault simulator performs. Workers
 // accumulate into a private Stats each and roll the totals into shared
@@ -73,42 +69,4 @@ func (sc *Scratch) markDirty(id int, w Waveform) {
 	sc.dirty[id] = true
 	sc.faulty[id] = w
 	sc.touched = append(sc.touched, id)
-}
-
-// scratchPool hands out arenas for callers that use the plain FaultSim
-// entry point; the detection-range driver holds one Scratch per worker
-// instead.
-func (e *Engine) getScratch() *Scratch {
-	if sc, ok := e.scratchPool.Get().(*Scratch); ok {
-		return sc
-	}
-	return e.NewScratch()
-}
-
-func (e *Engine) putScratch(sc *Scratch) { e.scratchPool.Put(sc) }
-
-// AcquireBaseline returns a gate-indexed waveform buffer suitable for
-// BaselineInto, recycled through the engine's pool. Pooling the fault-free
-// baselines kills the dominant per-pattern allocation of detection-range
-// computation. Release with ReleaseBaseline when done.
-func (e *Engine) AcquireBaseline() []Waveform {
-	if wf, ok := e.basePool.Get().([]Waveform); ok {
-		return wf
-	}
-	return make([]Waveform, len(e.C.Gates))
-}
-
-// ReleaseBaseline returns a buffer obtained from AcquireBaseline to the
-// pool. The caller must not use the slice afterwards.
-func (e *Engine) ReleaseBaseline(wf []Waveform) {
-	if len(wf) == len(e.C.Gates) {
-		e.basePool.Put(wf) //nolint:staticcheck // slice header copy is fine here
-	}
-}
-
-// BaselineInto computes the fault-free waveforms of every gate for the
-// pattern pair into wf, which must have been obtained from AcquireBaseline
-// (or have length len(Gates)). Cancellation matches BaselineContext.
-func (e *Engine) BaselineInto(ctx context.Context, p Pattern, wf []Waveform) error {
-	return e.baselineInto(ctx, p, wf)
 }
