@@ -14,8 +14,8 @@
 // and allocs_per_op, and -compare gates on allocs/op as well as ns/op.
 //
 // Two pairings are recognized: /event vs /naive variants (the fault-
-// simulation engines; speedup = naive/event) and /parallel vs /serial
-// variants (the worker-pool solvers; speedup = serial/parallel). When the
+// simulation engines; speedup = naive/event) and /warm vs /cold variants
+// (the result cache; speedup = cold/warm). When the
 // stream contains a single package the report keeps the original
 // single-package shape (top-level "pkg"); with several packages each
 // result is tagged with its package and speedup keys are prefixed with
@@ -87,12 +87,6 @@ type Report struct {
 	Packages   []string           `json:"pkgs,omitempty"`
 	Benchmarks []Result           `json:"benchmarks"`
 	Speedups   map[string]float64 `json:"speedups,omitempty"`
-	// Warnings flags suspicious-but-not-failing results — currently any
-	// /parallel benchmark slower than its /serial pair, the signature of a
-	// parallelization that stopped paying for its coordination overhead.
-	// They ride in the committed payload so a reader of the BENCH file sees
-	// the caveat without rerunning anything.
-	Warnings []string `json:"warnings,omitempty"`
 
 	curPkg string // package of the lines being parsed right now
 }
@@ -160,50 +154,13 @@ func (rep *Report) finalize() {
 		}
 	}
 	rep.Speedups = speedups(rep.Benchmarks)
-	rep.Warnings = inversionWarnings(rep.Benchmarks)
-}
-
-// inversionWarnings reports every /parallel benchmark that ran slower
-// than its /serial counterpart. A speedup below 1.0 is not a gate failure
-// (the -compare threshold handles absolute regressions) but it inverts
-// the pairing's reason to exist, so it is surfaced loudly.
-func inversionWarnings(results []Result) []string {
-	byName := map[string]float64{}
-	multi := false
-	for _, r := range results {
-		byName[r.Pkg+"\x00"+r.Name] = r.NsPerOp
-		if r.Pkg != "" {
-			multi = true
-		}
-	}
-	var warns []string
-	for key, parNs := range byName {
-		pkg, name, _ := strings.Cut(key, "\x00")
-		family, ok := strings.CutSuffix(name, "/parallel")
-		if !ok {
-			continue
-		}
-		serNs, ok := byName[pkg+"\x00"+family+"/serial"]
-		if !ok || parNs <= serNs || serNs <= 0 {
-			continue
-		}
-		label := family
-		if multi && pkg != "" {
-			label = path.Base(pkg) + "." + family
-		}
-		warns = append(warns, fmt.Sprintf("%s/parallel is %.2fx slower than %s/serial (%.0f vs %.0f ns/op)",
-			label, parNs/serNs, label, parNs, serNs))
-	}
-	sort.Strings(warns)
-	return warns
 }
 
 // pairings maps a variant suffix to its baseline counterpart; the speedup
 // is baseline time over variant time.
 var pairings = []struct{ fast, base string }{
-	{"/event", "/naive"},     // fault simulation: event-driven vs full resim
-	{"/parallel", "/serial"}, // worker-pool solvers vs single-threaded
-	{"/warm", "/cold"},       // result cache: warm re-run vs cold compute
+	{"/event", "/naive"}, // fault simulation: event-driven vs full resim
+	{"/warm", "/cold"},   // result cache: warm re-run vs cold compute
 }
 
 // speedups derives baseline/variant ratios for every benchmark family
@@ -283,9 +240,6 @@ func run(out string) error {
 	rep, err := readReport(os.Stdin)
 	if err != nil {
 		return err
-	}
-	for _, w := range rep.Warnings {
-		fmt.Fprintln(os.Stderr, "benchjson: warning:", w)
 	}
 	if out == "-" {
 		data, err := json.MarshalIndent(rep, "", "  ")

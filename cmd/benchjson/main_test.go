@@ -35,24 +35,28 @@ func TestSpeedups(t *testing.T) {
 	got := speedups([]Result{
 		{Name: "BenchmarkDetect/event", NsPerOp: 100},
 		{Name: "BenchmarkDetect/naive", NsPerOp: 250},
+		{Name: "BenchmarkSuite/warm", NsPerOp: 10},
+		{Name: "BenchmarkSuite/cold", NsPerOp: 40},
 		{Name: "BenchmarkBaselineCached", NsPerOp: 5},
 		{Name: "BenchmarkFaultSim/event", NsPerOp: 0}, // guarded
+		{Name: "BenchmarkSetCover/serial", NsPerOp: 600},
+		{Name: "BenchmarkSetCover/parallel", NsPerOp: 200}, // not a pairing
 	})
-	if len(got) != 1 || got["BenchmarkDetect"] != 2.5 {
-		t.Fatalf("speedups = %v, want BenchmarkDetect:2.5 only", got)
+	if len(got) != 2 || got["BenchmarkDetect"] != 2.5 || got["BenchmarkSuite"] != 4 {
+		t.Fatalf("speedups = %v, want BenchmarkDetect:2.5 and BenchmarkSuite:4 only", got)
 	}
 }
 
 func TestMultiPackageMerge(t *testing.T) {
 	var rep Report
 	parseLine("goos: linux", &rep)
-	parseLine("pkg: fastmon/internal/ilp", &rep)
-	parseLine("BenchmarkSetCover/serial-8 \t 10\t 90000000 ns/op", &rep)
-	parseLine("BenchmarkSetCover/parallel-8 \t 30\t 30000000 ns/op", &rep)
-	parseLine("ok  \tfastmon/internal/ilp\t2.1s", &rep)
-	parseLine("pkg: fastmon/internal/schedule", &rep)
-	parseLine("BenchmarkScheduleBuild/serial-8 \t 5\t 200000000 ns/op", &rep)
-	parseLine("BenchmarkScheduleBuild/parallel-8 \t 10\t 50000000 ns/op", &rep)
+	parseLine("pkg: fastmon/internal/sim", &rep)
+	parseLine("BenchmarkFaultSim/naive-8 \t 10\t 90000000 ns/op", &rep)
+	parseLine("BenchmarkFaultSim/event-8 \t 30\t 30000000 ns/op", &rep)
+	parseLine("ok  \tfastmon/internal/sim\t2.1s", &rep)
+	parseLine("pkg: fastmon/internal/exper", &rep)
+	parseLine("BenchmarkSuite/cold-8 \t 5\t 200000000 ns/op", &rep)
+	parseLine("BenchmarkSuite/warm-8 \t 10\t 50000000 ns/op", &rep)
 	rep.finalize()
 	if rep.Package != "" || len(rep.Packages) != 2 {
 		t.Fatalf("package bookkeeping: pkg=%q pkgs=%v", rep.Package, rep.Packages)
@@ -60,15 +64,15 @@ func TestMultiPackageMerge(t *testing.T) {
 	if len(rep.Benchmarks) != 4 {
 		t.Fatalf("parsed %d results, want 4", len(rep.Benchmarks))
 	}
-	if rep.Benchmarks[0].Pkg != "fastmon/internal/ilp" ||
-		rep.Benchmarks[3].Pkg != "fastmon/internal/schedule" {
+	if rep.Benchmarks[0].Pkg != "fastmon/internal/sim" ||
+		rep.Benchmarks[3].Pkg != "fastmon/internal/exper" {
 		t.Fatalf("results not tagged with their package: %+v", rep.Benchmarks)
 	}
-	if got := rep.Speedups["ilp.BenchmarkSetCover"]; got != 3 {
-		t.Fatalf("ilp speedup = %v, want 3", got)
+	if got := rep.Speedups["sim.BenchmarkFaultSim"]; got != 3 {
+		t.Fatalf("sim speedup = %v, want 3", got)
 	}
-	if got := rep.Speedups["schedule.BenchmarkScheduleBuild"]; got != 4 {
-		t.Fatalf("schedule speedup = %v, want 4", got)
+	if got := rep.Speedups["exper.BenchmarkSuite"]; got != 4 {
+		t.Fatalf("exper speedup = %v, want 4", got)
 	}
 }
 
@@ -88,17 +92,6 @@ func TestSinglePackageKeepsLegacyShape(t *testing.T) {
 	}
 	if got := rep.Speedups["BenchmarkDetect"]; got != 2.5 {
 		t.Fatalf("speedup = %v, want 2.5", got)
-	}
-}
-
-func TestSerialParallelPairing(t *testing.T) {
-	got := speedups([]Result{
-		{Name: "BenchmarkSetCover/serial", NsPerOp: 600},
-		{Name: "BenchmarkSetCover/parallel", NsPerOp: 200},
-		{Name: "BenchmarkSetCover/other", NsPerOp: 1},
-	})
-	if len(got) != 1 || got["BenchmarkSetCover"] != 3 {
-		t.Fatalf("speedups = %v, want BenchmarkSetCover:3 only", got)
 	}
 }
 
@@ -134,11 +127,11 @@ func writeBaseline(t *testing.T, rep *Report, naked bool) string {
 func TestCompareFailsOnRegression(t *testing.T) {
 	base := &Report{Benchmarks: []Result{
 		{Name: "BenchmarkDetect/event", NsPerOp: 100},
-		{Name: "BenchmarkSetCover/parallel", NsPerOp: 1000},
+		{Name: "BenchmarkSetCover", NsPerOp: 1000},
 	}}
 	path := writeBaseline(t, base, false)
 	fresh := "BenchmarkDetect/event-8 \t 10\t 250 ns/op\n" + // 2.5x slower
-		"BenchmarkSetCover/parallel-8 \t 10\t 1010 ns/op\n" // within threshold
+		"BenchmarkSetCover-8 \t 10\t 1010 ns/op\n" // within threshold
 	var out strings.Builder
 	err := runCompare(&out, strings.NewReader(fresh), path, 0.25)
 	if err == nil {
@@ -197,38 +190,5 @@ func TestCompareNoOverlapIsAnError(t *testing.T) {
 	var out strings.Builder
 	if err := runCompare(&out, strings.NewReader("BenchmarkDetect/event-8 \t 10\t 100 ns/op\n"), path, 0.25); err == nil {
 		t.Fatal("disjoint benchmark sets compared clean")
-	}
-}
-
-func TestInversionWarnings(t *testing.T) {
-	warns := inversionWarnings([]Result{
-		{Name: "BenchmarkSetCover/serial", NsPerOp: 200},
-		{Name: "BenchmarkSetCover/parallel", NsPerOp: 260},
-		{Name: "BenchmarkFine/serial", NsPerOp: 500},
-		{Name: "BenchmarkFine/parallel", NsPerOp: 250},
-		{Name: "BenchmarkLonely/parallel", NsPerOp: 100},
-	})
-	if len(warns) != 1 || !strings.Contains(warns[0], "BenchmarkSetCover/parallel is 1.30x slower") {
-		t.Fatalf("warnings = %v, want one SetCover inversion", warns)
-	}
-	if inversionWarnings([]Result{
-		{Name: "BenchmarkFine/serial", NsPerOp: 500},
-		{Name: "BenchmarkFine/parallel", NsPerOp: 250},
-	}) != nil {
-		t.Fatal("healthy pairing must not warn")
-	}
-}
-
-func TestWarningsLandInReport(t *testing.T) {
-	in := strings.NewReader(
-		"pkg: example.com/x\n" +
-			"BenchmarkSlow/serial-8 10 100 ns/op\n" +
-			"BenchmarkSlow/parallel-8 10 150 ns/op\n")
-	rep, err := readReport(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "BenchmarkSlow/parallel") {
-		t.Fatalf("Warnings = %v", rep.Warnings)
 	}
 }

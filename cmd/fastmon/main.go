@@ -37,7 +37,7 @@ func main() {
 		sample    = flag.Int("sample", 0, "fault sampling stride (0 = automatic)")
 		budget    = flag.Duration("budget", 10*time.Second, "time budget per exact covering solve")
 		seed      = flag.Int64("seed", 1, "ATPG seed")
-		workers   = flag.Int("workers", 0, "goroutines for every parallel stage: ATPG and fault simulation (0 = all CPUs)")
+		workers   = flag.Int("workers", 0, "goroutines for fault simulation (0 = all CPUs); ATPG and scheduling are single-threaded")
 		patsOut   = flag.String("write-patterns", "", "write the generated pattern set to this file")
 		verbose   = flag.Bool("v", false, "print per-period schedule details and stage spans")
 

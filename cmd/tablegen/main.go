@@ -87,7 +87,7 @@ func main() {
 		ckpt     = flag.String("checkpoint", "", "directory for per-circuit result checkpoints")
 		resume   = flag.Bool("resume", false, "reuse completed circuits from -checkpoint DIR")
 		slowsim  = flag.Bool("slowsim", false, "use the naive full-resimulation fault simulator (differential debugging)")
-		workers  = flag.Int("workers", 0, "goroutines for every parallel stage: concurrent circuits, ATPG and fault simulation (0 = all CPUs)")
+		workers  = flag.Int("workers", 0, "goroutines for concurrent circuits and for fault simulation (0 = all CPUs); each ATPG run and schedule build is single-threaded")
 
 		chaosSeed = flag.Int64("chaos.seed", 0, "seed for deterministic fault injection (same seed, same faults)")
 		chaosRate = flag.Float64("chaos.rate", 0, "per-point fault injection probability in [0,1] (0 disables chaos)")

@@ -8,23 +8,22 @@ import (
 	"fastmon/internal/fault"
 )
 
-// newMachine builds a one-off machine with its own analysis.
-func newMachine(c *circuit.Circuit, f fault.Fault, stuck value) *machine {
-	return newMachineWith(newAnalysis(c), f, stuck)
+// machineFor builds a machine over an and aims it at the fault.
+func machineFor(an *analysis, f fault.Fault, stuck value) *machine {
+	m := newMachine(an)
+	m.reset(f, stuck)
+	return m
 }
 
 // justify runs the justification loop for net = target on a one-off
-// machine and returns a copy of the assignment it found.
+// machine and returns the assignment it found.
 func justify(c *circuit.Circuit, net int, target value, maxBacktracks int) ([]value, podemResult) {
-	an := newAnalysis(c)
-	m := newMachineWith(an, fault.Fault{Gate: net, Pin: -1}, target.not())
+	m := machineFor(newAnalysis(c), fault.Fault{Gate: net, Pin: -1}, target.not())
 	_, res := m.justify(net, target, maxBacktracks)
-	var assign []value
-	if res == testFound {
-		assign = append([]value(nil), m.assign...)
+	if res != testFound {
+		return nil, res
 	}
-	an.release(m)
-	return assign, res
+	return m.assign, res
 }
 
 func TestEval3(t *testing.T) {
@@ -111,7 +110,7 @@ func TestPodemSimpleAnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fault.Fault{Gate: g, Pin: -1, Rising: true}
-	m := newMachine(c, f, v0)
+	m := machineFor(newAnalysis(c), f, v0)
 	if res := m.run(100); res != testFound {
 		t.Fatalf("PODEM result = %v", res)
 	}
@@ -136,7 +135,7 @@ func TestPodemUntestable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fault.Fault{Gate: g, Pin: -1, Rising: true}
-	m := newMachine(c, f, v0)
+	m := machineFor(newAnalysis(c), f, v0)
 	if res := m.run(1000); res != untestable {
 		t.Fatalf("PODEM result = %v, want untestable", res)
 	}
@@ -153,7 +152,7 @@ func TestPodemPinFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fault.Fault{Gate: g, Pin: 0, Rising: false}
-	m := newMachine(c, f, v1)
+	m := machineFor(newAnalysis(c), f, v1)
 	if res := m.run(100); res != testFound {
 		t.Fatalf("PODEM result = %v", res)
 	}

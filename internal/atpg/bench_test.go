@@ -2,48 +2,31 @@ package atpg
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"fastmon/internal/circuit"
 	"fastmon/internal/fault"
 )
 
-// benchWorkload is a paper-suite-style netlist big enough that the
-// deterministic phase dominates: the random phase is disabled so every
-// fault takes the PODEM produce/commit path the parallel design targets.
-func benchWorkload(b *testing.B) (*circuit.Circuit, []fault.Fault, Config) {
-	b.Helper()
+// BenchmarkGenerate measures test generation on a paper-suite-style
+// netlist with the random phase disabled, so every fault takes the
+// deterministic PODEM path.
+func BenchmarkGenerate(b *testing.B) {
 	c := circuit.MustGenerate(circuit.GenSpec{
 		Name: "gbench", Gates: 500, FFs: 40, Inputs: 20, Outputs: 14, Depth: 14, Seed: 29})
 	faults := fault.Universe(c)
 	cfg := Config{RandomBatches: 0, MaxBacktracks: 300, Seed: 5, Compact: true}
-	return c, faults, cfg
-}
-
-// BenchmarkGenerate measures the deterministic ATPG phase serial vs
-// speculative-parallel (8 workers). benchjson pairs the /parallel and
-// /serial variants into a speedup; on multi-core runners the parallel
-// variant shows the ordered-commit scaling, on single-CPU boxes the pair
-// degenerates to ~1x and documents the overhead instead.
-func BenchmarkGenerate(b *testing.B) {
-	c, faults, cfg := benchWorkload(b)
 	ctx := context.Background()
-	run := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			old := runtime.GOMAXPROCS(8)
-			defer runtime.GOMAXPROCS(old)
-			cfg := cfg
-			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := Generate(ctx, c, faults, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+	// One untimed run fills the circuit's cached fanout cones, so ns/op
+	// and allocs/op measure generation alone.
+	if _, _, err := Generate(ctx, c, faults, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Generate(ctx, c, faults, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(8))
 }

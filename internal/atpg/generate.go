@@ -5,8 +5,6 @@ import (
 	"log/slog"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
-	"time"
 
 	"fastmon/internal/cache"
 	"fastmon/internal/chaos"
@@ -15,18 +13,14 @@ import (
 	"fastmon/internal/fmerr"
 	"fastmon/internal/logic"
 	"fastmon/internal/obs"
-	"fastmon/internal/par"
 	"fastmon/internal/sim"
 )
 
 // Chaos injection points at the phase boundaries of test generation,
-// aligned with the cancellation polls, plus the ordered-commit boundary of
-// the speculative deterministic phase (fired once per committed pattern,
-// identically in serial and parallel runs).
+// aligned with the cancellation polls.
 var (
 	ptRandom = chaos.Register("atpg.random", fmerr.StageATPG)
 	ptPodem  = chaos.Register("atpg.podem", fmerr.StageATPG)
-	ptCommit = chaos.Register("atpg.commit", fmerr.StageATPG)
 )
 
 // Config controls test generation.
@@ -41,12 +35,10 @@ type Config struct {
 	Seed int64
 	// Compact enables reverse-order static compaction.
 	Compact bool
-	// Workers bounds the speculative worker pool of the deterministic
-	// PODEM phase, resolved by par.ClampWorkersFor (0 means every CPU).
-	// The emitted pattern set is byte-identical at any worker count — the
-	// single committer replays the serial fault order exactly — so Workers
-	// is deliberately excluded from the cache key (§10 determinism
-	// contract).
+	// Workers is kept only for source compatibility and excluded from
+	// the cache key.
+	//
+	// Deprecated: ignored; ATPG is single-threaded.
 	Workers int
 }
 
@@ -85,9 +77,7 @@ func (s Stats) Coverage() float64 {
 // together with a stage-attributed error.
 func Generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg Config) ([]sim.Pattern, Stats, error) {
 	if cfg.RandomBatches == 0 && cfg.MaxBacktracks == 0 {
-		w := cfg.Workers
 		cfg = DefaultConfig(cfg.Seed)
-		cfg.Workers = w
 	}
 	if store := cache.From(ctx); store != nil {
 		v, err := cache.Memo(ctx, store, cacheKey(c, faults, cfg),
@@ -110,8 +100,7 @@ type cached struct {
 // canonical netlist, the source ordering the pattern vectors are indexed
 // by, the exact target fault list (by gate name, so the component composes
 // with the order-invariant netlist fingerprint), and the generator config.
-// Config.Workers is intentionally absent: the ordered-commit design makes
-// the output independent of the worker count.
+// The deprecated Config.Workers is absent: it does not affect the output.
 func cacheKey(c *circuit.Circuit, faults []fault.Fault, cfg Config) cache.Key {
 	h := cache.NewHasher("atpg")
 	h.Str("circuit", cache.CircuitFingerprint(c))
@@ -131,72 +120,15 @@ func cacheKey(c *circuit.Circuit, faults []fault.Fault, cfg Config) cache.Key {
 	return h.Key()
 }
 
-// candidate is one speculatively produced deterministic-phase result: the
-// full outcome of PODEM + justification + don't-care fill for one fault,
-// computed by a worker without knowledge of patterns committed after it
-// started. The committer either applies it (fault still undetected in
-// serial order) or discards it as stale speculation.
-type candidate struct {
-	// skipped marks that the worker saw the fault's detection hint and
-	// produced nothing. Hints are published only after the authoritative
-	// detected[] update, so a skipped candidate always meets a detected
-	// fault at commit time.
-	skipped bool
-	runRes  podemResult
-	runBt   int
-	jRes    podemResult // valid only when runRes == testFound
-	jBt     int
-	pat     sim.Pattern // valid only when runRes == jRes == testFound
-	// evals counts the gate evaluations of both machines' implication.
-	evals int64
-}
-
-// produceCandidate runs the full per-fault deterministic pipeline: PODEM
-// for the launch vector V2, justification of the pre-transition site value
-// for V1, and per-fault-keyed don't-care fill. It is a pure function of
-// (analysis, fault, index, config) — machines are pooled scratch, and the
-// fill stream is keyed on the fault index, never on shared mutable state —
-// which is what makes speculative execution sound.
-func produceCandidate(an *analysis, f fault.Fault, fi int, cfg Config) candidate {
-	stuck := v0
-	if !f.Rising {
-		stuck = v1
-	}
-	m := newMachineWith(an, f, stuck)
-	res := m.run(cfg.MaxBacktracks)
-	cd := candidate{runRes: res, runBt: m.backtracks, evals: m.evals}
-	if res != testFound {
-		an.release(m)
-		return cd
-	}
-	site := m.siteNet()
-	// Justify V1 on a second machine while m still holds the V2 assignment
-	// (saves the defensive copy the serial path used to make).
-	jm := newMachineWith(an, fault.Fault{Gate: site, Pin: -1}, stuck.not())
-	cd.jBt, cd.jRes = jm.justify(site, stuck, cfg.MaxBacktracks)
-	cd.evals += jm.evals
-	if cd.jRes == testFound {
-		rng := newFillRNG(cfg.Seed, fi)
-		cd.pat = sim.Pattern{V1: fill(jm.assign, &rng), V2: fill(m.assign, &rng)}
-	}
-	an.release(jm)
-	an.release(m)
-	return cd
-}
-
 // generate is the uncached body of Generate.
 func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg Config) ([]sim.Pattern, Stats, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nsrc := len(c.Sources())
 	st := Stats{Faults: len(faults)}
-	var discards, busyNs atomic.Int64
-	// gateEvals sums the implication work of committed candidates only,
-	// so it is the same at any worker count. It stays out of Stats to
-	// keep the cached entry layout unchanged.
+	// gateEvals sums the implication work of both PODEM machines. It stays
+	// out of Stats to keep the cached entry layout unchanged.
 	var gateEvals int64
-	workers := par.ClampWorkersFor(cfg.Workers, len(faults))
 	_, span := obs.StartSpan(ctx, "atpg")
-	phaseStart := time.Now()
 	defer func() {
 		o := obs.From(ctx)
 		o.Counter("atpg.patterns").Add(int64(st.Patterns))
@@ -205,20 +137,13 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 		o.Counter("atpg.aborted").Add(int64(st.Aborted))
 		o.Counter("atpg.untestable").Add(int64(st.Untestable))
 		o.Counter("atpg.random_detected").Add(int64(st.RandomDetected))
-		o.Counter("atpg.speculative_discards").Add(discards.Load())
 		o.Counter("atpg.gate_evals").Add(gateEvals)
-		if wall := time.Since(phaseStart); wall > 0 && workers > 0 {
-			o.Gauge("atpg.worker_utilization").Set(
-				float64(busyNs.Load()) / float64(int64(wall)*int64(workers)))
-		}
 		span.End(
 			slog.Int("faults", st.Faults),
 			slog.Int("patterns", st.Patterns),
 			slog.Int("backtracks", st.Backtracks),
 			slog.Int("aborted", st.Aborted),
-			slog.Int("workers", workers),
-			slog.Int64("gate_evals", gateEvals),
-			slog.Int64("speculative_discards", discards.Load()))
+			slog.Int64("gate_evals", gateEvals))
 	}()
 
 	detected := make([]bool, len(faults))
@@ -226,10 +151,8 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 
 	// dropPass removes faults detected by patterns[from:] from the
 	// remaining set, reusing one Batch's packed-vector scratch across
-	// 64-pattern chunks. publish, when non-nil, mirrors fresh detections
-	// into the lock-free hint array read by speculative workers.
+	// 64-pattern chunks.
 	var db logic.Batch
-	var publish func(fi int)
 	dropPass := func(from int) {
 		for start := from; start < len(patterns); start += 64 {
 			db.Load(c, patterns, start)
@@ -239,9 +162,6 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 				}
 				if db.DetectTransition(faults[fi]) != 0 {
 					detected[fi] = true
-					if publish != nil {
-						publish(fi)
-					}
 				}
 			}
 		}
@@ -300,98 +220,58 @@ func generate(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, cfg
 		}
 	}
 
-	// Deterministic phase: speculative PODEM with ordered commit. Workers
-	// produce candidates concurrently against the shared immutable
-	// analysis; the single committer below replays the serial loop
-	// verbatim — skip-if-detected, stats accrual, pattern append and the
-	// 32-pattern drop-pass cadence — in strict fault-index order, so the
-	// output is byte-identical at any worker count. Speculation produced
-	// for faults that a later-committed pattern already covers is simply
-	// discarded (counted in atpg.speculative_discards).
+	// Deterministic phase: for each still-undetected fault in index order,
+	// PODEM finds the launch vector V2 on m, then jm justifies the
+	// pre-transition site value for V1 while m still holds its assignment.
+	// Both machines are allocated once and retargeted per fault.
 	an := newAnalysis(c)
-	hints := make([]atomic.Bool, len(faults))
-	for fi, d := range detected {
-		if d {
-			hints[fi].Store(true)
-		}
-	}
-	publish = func(fi int) { hints[fi].Store(true) }
+	m, jm := newMachine(an), newMachine(an)
 	lastDrop := len(patterns)
-	var phaseErr error
-	window := workers * 32
-	if window < 64 {
-		window = 64
-	}
-	par.OrderedCommit(workers, len(faults), window,
-		func(id, fi int) candidate {
-			t0 := time.Now()
-			defer func() { busyNs.Add(int64(time.Since(t0))) }()
-			if hints[fi].Load() {
-				// Already covered by committed patterns: skip the PODEM run.
-				// The hint lags the authoritative detected[] array, never
-				// leads it, so the committer's own check stays decisive.
-				return candidate{skipped: true}
+	for fi, f := range faults {
+		if fi&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return patterns, st, fmerr.Wrap(fmerr.StageATPG, "deterministic-phase", err)
 			}
-			return produceCandidate(an, faults[fi], fi, cfg)
-		},
-		func(fi int, cd candidate) bool {
-			if fi&63 == 0 {
-				if err := ctx.Err(); err != nil {
-					phaseErr = fmerr.Wrap(fmerr.StageATPG, "deterministic-phase", err)
-					return false
-				}
-				if err := chaos.Point(ctx, ptPodem); err != nil {
-					phaseErr = fmerr.Wrap(fmerr.StageATPG, "deterministic-phase", err)
-					return false
-				}
+			if err := chaos.Point(ctx, ptPodem); err != nil {
+				return patterns, st, fmerr.Wrap(fmerr.StageATPG, "deterministic-phase", err)
 			}
-			if detected[fi] {
-				if !cd.skipped {
-					discards.Add(1)
-				}
-				return true
-			}
-			if cd.skipped {
-				// Unreachable under the hint invariant; regenerate inline
-				// rather than corrupt the output if it is ever violated.
-				cd = produceCandidate(an, faults[fi], fi, cfg)
-			}
-			st.Backtracks += cd.runBt
-			gateEvals += cd.evals
-			switch cd.runRes {
-			case untestable:
-				st.Untestable++
-				return true
-			case aborted:
-				st.Aborted++
-				return true
-			}
-			st.Backtracks += cd.jBt
-			switch cd.jRes {
-			case untestable:
-				// The site cannot take the pre-transition value at all: the
-				// transition fault is untestable.
-				st.Untestable++
-				return true
-			case aborted:
-				st.Aborted++
-				return true
-			}
-			if err := chaos.Point(ctx, ptCommit); err != nil {
-				phaseErr = fmerr.Wrap(fmerr.StageATPG, "commit", err)
-				return false
-			}
-			patterns = append(patterns, cd.pat)
-			detected[fi] = true
-			hints[fi].Store(true)
-			if len(patterns)-lastDrop >= 32 {
-				dropPass(lastDrop)
-				lastDrop = len(patterns)
-			}
-			return true
-		})
-	if phaseErr != nil {
-		return patterns, st, phaseErr
+		}
+		if detected[fi] {
+			continue
+		}
+		stuck := v0
+		if !f.Rising {
+			stuck = v1
+		}
+		m.reset(f, stuck)
+		res := m.run(cfg.MaxBacktracks)
+		st.Backtracks += m.backtracks
+		gateEvals += m.evals
+		if res == testFound {
+			site := m.siteNet()
+			jm.reset(fault.Fault{Gate: site, Pin: -1}, stuck.not())
+			var jBt int
+			jBt, res = jm.justify(site, stuck, cfg.MaxBacktracks)
+			st.Backtracks += jBt
+			gateEvals += jm.evals
+		}
+		switch res {
+		case untestable:
+			// Either no V2 exists, or the site cannot take the
+			// pre-transition value at all.
+			st.Untestable++
+			continue
+		case aborted:
+			st.Aborted++
+			continue
+		}
+		fr := newFillRNG(cfg.Seed, fi)
+		patterns = append(patterns, sim.Pattern{V1: fill(jm.assign, &fr), V2: fill(m.assign, &fr)})
+		detected[fi] = true
+		if len(patterns)-lastDrop >= 32 {
+			dropPass(lastDrop)
+			lastDrop = len(patterns)
+		}
 	}
 	dropPass(lastDrop)
 

@@ -117,10 +117,9 @@ func CheckImplyMatchesConeScan(t *testing.T, c *circuit.Circuit, seed int64) {
 
 func checkImplyFault(t *testing.T, an *analysis, f fault.Fault, stuck value, rng *rand.Rand) {
 	t.Helper()
-	wm := newMachineWith(an, f, stuck)
-	om := newMachineWith(an, f, stuck)
-	full := newMachineWith(an, f, stuck)
-	defer func() { an.release(wm); an.release(om); an.release(full) }()
+	wm := machineFor(an, f, stuck)
+	om := machineFor(an, f, stuck)
+	full := machineFor(an, f, stuck)
 	oracle := &coneScan{dirtyVer: make([]int, len(an.c.Gates))}
 	wm.imply()
 	om.imply()

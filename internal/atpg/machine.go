@@ -11,8 +11,6 @@
 package atpg
 
 import (
-	"sync"
-
 	"fastmon/internal/circuit"
 	"fastmon/internal/fault"
 )
@@ -136,10 +134,7 @@ func controlling(kind circuit.Kind) (value, bool) {
 // PODEM machine of one circuit: SCOAP-like controllability costs,
 // observability depths, and the tap/source index tables. Computing it
 // once per circuit instead of once per fault dominates ATPG throughput on
-// large designs. It also owns the machine pool: PODEM scratch state
-// (assignment, dual machine values, event worklist, search stacks) is
-// recycled across faults instead of reallocated per target, and the pool
-// is safe for the concurrent speculative workers of the parallel phase.
+// large designs.
 type analysis struct {
 	c        *circuit.Circuit
 	taps     []circuit.Tap
@@ -149,8 +144,6 @@ type analysis struct {
 	obsDepth []int       // min fanout hops to an observation point (-1: none)
 	topoPos  []int       // gate ID -> position in c.Topo()
 	tapGate  map[int]bool
-
-	pool sync.Pool // *machine scratch, recycled across faults
 }
 
 // machine is the dual good/faulty 3-valued circuit state of one PODEM run.
@@ -186,8 +179,7 @@ type machine struct {
 	// Reusable per-decision scratch: the PODEM decision stack, the
 	// D-frontier buffer, and the visited set and stack of the D-frontier
 	// walk and the X-path check (seenVer[id] == seenCur marks visited).
-	// All survive release/acquire cycles so steady-state PODEM allocates
-	// nothing.
+	// All survive reset, so steady-state PODEM allocates nothing.
 	stack    []decision
 	frontier []int
 	seenVer  []int
@@ -217,34 +209,23 @@ func newAnalysis(c *circuit.Circuit) *analysis {
 	return a
 }
 
-// newMachineWith acquires a machine from the analysis pool and retargets
-// it at the given fault. Callers must return it with release when the
-// run's results have been copied out; the pool keeps steady-state PODEM
-// allocation-free even across concurrent speculative workers.
-func newMachineWith(an *analysis, f fault.Fault, stuck value) *machine {
-	m, _ := an.pool.Get().(*machine)
-	if m == nil {
-		n := len(an.c.Gates)
-		vals := make([]value, 2*n) // good and bad share one block
-		m = &machine{
-			analysis: an,
-			assign:   make([]value, len(an.srcs)),
-			good:     vals[:n:n],
-			bad:      vals[n:],
-			queue:    an.c.NewLevelQueue(),
-			trail:    make([]trailEntry, 0, n),
-			seenVer:  make([]int, n),
-		}
+// newMachine allocates a machine over the analysis. It must be aimed at
+// a fault with reset before its first run.
+func newMachine(an *analysis) *machine {
+	n := len(an.c.Gates)
+	vals := make([]value, 2*n) // good and bad share one block
+	return &machine{
+		analysis: an,
+		assign:   make([]value, len(an.srcs)),
+		good:     vals[:n:n],
+		bad:      vals[n:],
+		queue:    an.c.NewLevelQueue(),
+		trail:    make([]trailEntry, 0, n),
+		seenVer:  make([]int, n),
 	}
-	m.reset(f, stuck)
-	return m
 }
 
-// release returns a machine to its analysis pool. The machine must not be
-// used afterwards; in particular m.assign is recycled, so copy it first.
-func (an *analysis) release(m *machine) { an.pool.Put(m) }
-
-// reset retargets a pooled machine at a new fault. good/bad need no
+// reset retargets a machine at a new fault. good/bad need no
 // clearing (imply rewrites every gate before they are read), the worklist
 // is always drained, and seenVer survives because its versions are
 // monotone.

@@ -149,8 +149,8 @@ func (m *machine) run(maxBacktracks int) podemResult {
 // justify runs the justification decision loop on this machine: it
 // searches for a source assignment with m.good[net] == target, reporting
 // the number of backtracks spent (the ATPG effort metric). On success the
-// assignment is left in m.assign; copy it out before releasing the
-// machine. The machine must have been acquired with the trivial fault
+// assignment is left in m.assign; copy it out before the next reset.
+// The machine must have been reset to the trivial fault
 // {Gate: net, Pin: -1} and stuck = target.not() so the good machine is
 // authoritative.
 func (m *machine) justify(net int, target value, maxBacktracks int) (int, podemResult) {
@@ -212,9 +212,7 @@ func splitmix64(x uint64) uint64 {
 // fillRNG is a SplitMix64 bit stream for don't-care fill. Each fault gets
 // its own stream keyed on (seed, fault index), so the fill bits of a
 // pattern depend only on which fault produced it — never on how many
-// faults were skipped before it or on the worker interleaving of the
-// speculative phase. This is what keeps the parallel deterministic phase
-// byte-identical to the serial one at any worker count.
+// faults were skipped or filled before it.
 type fillRNG struct {
 	s    uint64
 	bits uint64

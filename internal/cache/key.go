@@ -37,8 +37,9 @@ import (
 // as a miss, not a decode of wrong data).
 //
 // Epoch 2: ATPG don't-care fill re-keyed per fault (splitmix64 on
-// (Seed, fault index)) for the speculative parallel deterministic phase —
-// pattern sets changed once for every seed.
+// (Seed, fault index)), so a pattern's fill depends only on the fault
+// that produced it — pattern sets changed once for every seed. The serial
+// deterministic phase keeps this fill, so the epoch stands.
 const SchemaVersion = 2
 
 // Key addresses one cached stage result. The zero Key is invalid.

@@ -39,7 +39,7 @@ var (
 // ClampWorkers resolves a configured worker count to [1, GOMAXPROCS]:
 // zero and negative values mean "use every CPU", larger requests are cut
 // down instead of oversubscribing the scheduler. Every parallel stage —
-// ATPG, fault simulation (detect) and the experiment suite (exper) —
+// fault simulation (detect), diagnosis and the experiment suite (exper) —
 // applies this same rule; the implementation lives in the
 // dependency-order leaf package internal/par so those packages can share
 // it without importing core.
@@ -69,9 +69,9 @@ type Config struct {
 	GlitchScale float64
 	// ATPGSeed drives test generation.
 	ATPGSeed int64
-	// Workers bounds the goroutine pools of the parallel stages — the
-	// speculative ATPG phase and fault simulation (0 = GOMAXPROCS; see
-	// ClampWorkers). Schedule construction is single-threaded.
+	// Workers bounds the goroutine pool of fault simulation (0 =
+	// GOMAXPROCS; see ClampWorkers). ATPG and schedule construction are
+	// single-threaded.
 	Workers int
 	// SlowSim routes fault simulation through the naive full-resimulation
 	// reference engine instead of the event-driven fast path (differential
@@ -195,9 +195,7 @@ func Run(ctx context.Context, c *circuit.Circuit, lib *cell.Library, annot *cell
 
 	// ATPG substrate: compacted transition-fault patterns for the full
 	// (sampled) universe, standing in for the commercial test sets.
-	acfg := atpg.DefaultConfig(cfg.ATPGSeed)
-	acfg.Workers = cfg.Workers
-	pats, st, err := atpg.Generate(ctx, c, f.Universe, acfg)
+	pats, st, err := atpg.Generate(ctx, c, f.Universe, atpg.DefaultConfig(cfg.ATPGSeed))
 	if err != nil {
 		return nil, err
 	}

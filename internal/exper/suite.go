@@ -123,9 +123,9 @@ type SuiteConfig struct {
 	// SolverBudget bounds each exact covering solve (default 5s).
 	SolverBudget time.Duration
 	// Workers bounds every parallel stage of the run — concurrent suite
-	// circuits, the speculative ATPG phase and fault-simulation goroutines
-	// (0 = GOMAXPROCS). Concurrent circuits are the schedule stage's only
-	// parallelism: each schedule build and covering solve is
+	// circuits and fault-simulation goroutines (0 = GOMAXPROCS).
+	// Concurrent circuits are the only parallelism of ATPG and of the
+	// schedule stage: each ATPG run, schedule build and covering solve is
 	// single-threaded.
 	Workers int
 	// SlowSim forces the naive fault-simulation reference engine
