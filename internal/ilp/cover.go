@@ -68,9 +68,12 @@ type candList struct{ idx, gain []int }
 
 // SetCover solves minimum set cover exactly by branch-and-bound with
 // covering presolve, on the search harness shared with PartialCover
-// (solve.go): a completed solve returns the lexicographically smallest
-// optimum. It returns an error when the universe is not
-// coverable. An expired deadline (the paper's solver timeout) returns the
+// (solve.go). A completed solve returns a minimum-size cover in which
+// every set is needed: the lexicographically smallest optimum among the
+// covers made of the presolve's forced columns and the columns it keeps.
+// The essential-column and dominance passes drop columns, so this need
+// not be the smallest optimum over all sets. It returns an error when the
+// universe is not coverable. An expired deadline (the paper's solver timeout) returns the
 // best incumbent with a nil error; cancellation returns the incumbent
 // together with an error wrapping context.Canceled.
 func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opts Options) (CoverResult, error) {
@@ -206,17 +209,6 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		s.And(uncovered)
 		sub[i] = s
 	}
-	// Element -> covering set indices (into sub) as a dense table indexed
-	// by element id: the branching loop reads it once per candidate per
-	// node, where the former map cost a hash lookup each time.
-	elems := uncovered.Members(nil)
-	coverOf := make([][]int, universe.Len())
-	for i, s := range sub {
-		for _, e := range s.Members(nil) {
-			coverOf[e] = append(coverOf[e], i)
-		}
-	}
-
 	// Greedy incumbent. Coverability was established above, so a greedy
 	// failure here is an internal inconsistency worth surfacing.
 	incumbent, err := GreedyCover(sub, uncovered)
@@ -224,13 +216,17 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		return CoverResult{}, err
 	}
 
-	// Branch on the element with the fewest covering sets; children try
-	// each covering set in decreasing gain order (index ascending on
-	// ties). Subtrees are pruned only when strictly worse than the
-	// incumbent so every optimal cover stays reachable and the bestList
-	// tie-break picks the lexicographically smallest one. The DFS is
+	// Branch on the uncovered element with the fewest covering sets
+	// (index ascending on ties: the first uncovered element of the
+	// packer's static order); children try each covering set in
+	// decreasing gain order (index ascending on ties). A node is pruned
+	// only when its bound — the larger of ⌈|unc|/maxGain⌉ and the
+	// disjoint packing — shows every completion strictly worse than the
+	// incumbent, so every optimal cover stays reachable and the bestList
+	// tie-break picks the smallest of them in its total order. The DFS is
 	// strictly nested, so one uncovered set and one candidate list per
 	// depth replace per-node clones and sorts.
+	pk := newPacker(sub, uncovered)
 	s := newSearch(ctx, "setcover", "ilp.cover", opts, incumbent, 0)
 	var (
 		uncAt   []*bitset.Set
@@ -245,33 +241,19 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 			s.offer(cur, 0)
 			return
 		}
-		if len(cur)+lowerBound(sub, unc) > s.best.bound() {
+		slack := s.best.bound() - len(cur) // sets a completion may add
+		if lowerBound(sub, unc) > slack {
 			return
 		}
-		// Pick the uncovered element with fewest alive covering sets.
-		pickE, pickCnt := -1, 1<<30
-		for _, e := range elems {
-			if !unc.Has(e) {
-				continue
-			}
-			cnt := 0
-			for _, si := range coverOf[e] {
-				if sub[si].IntersectionCount(unc) > 0 {
-					cnt++
-				}
-			}
-			if cnt < pickCnt {
-				pickE, pickCnt = e, cnt
-				if cnt <= 1 {
-					break
-				}
-			}
+		packed, pickE := pk.pack(unc, slack)
+		if packed > slack {
+			return
 		}
 		depth := len(cur)
 		for len(candsAt) <= depth {
 			candsAt = append(candsAt, candList{})
 		}
-		cands := append(candsAt[depth].idx[:0], coverOf[pickE]...)
+		cands := append(candsAt[depth].idx[:0], pk.coverOf[pickE]...)
 		gains := candsAt[depth].gain[:0]
 		for _, si := range cands {
 			gains = append(gains, sub[si].IntersectionCount(unc))
@@ -303,7 +285,8 @@ func SetCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, opt
 		sel = append(sel, aliveIdx[si])
 	}
 	sort.Ints(sel)
-	return s.result(sel, len(chosen)+lowerBound(sub, uncovered))
+	packed, _ := pk.pack(uncovered, len(sub))
+	return s.result(sel, len(chosen)+max(lowerBound(sub, uncovered), packed))
 }
 
 // lowerBound returns ⌈|unc|/maxGain⌉, a lower bound on the number of
@@ -323,6 +306,82 @@ func lowerBound(sub []*bitset.Set, unc *bitset.Set) int {
 	}
 	u := unc.Count()
 	return (u + maxGain - 1) / maxGain
+}
+
+// packer holds SetCover's static element–column incidence and computes
+// the disjoint-packing bound: a set of uncovered elements no two of which
+// share a covering column needs one distinct column each, so its size is
+// a lower bound on the columns a completion adds.
+type packer struct {
+	// order lists the root's uncovered elements by (number of covering
+	// columns, index). Column counts never change below the root — a
+	// covering column of an uncovered element always meets the uncovered
+	// set — so the first uncovered element of order is the element with
+	// the fewest covering columns that the per-node count used to find.
+	order   []int
+	coverOf [][]int // element -> covering columns (indices into sub)
+	stamp   []int   // column -> generation of the pack that claimed it
+	gen     int
+}
+
+// newPacker indexes the columns sub, each already restricted to the
+// root's uncovered set unc.
+func newPacker(sub []*bitset.Set, unc *bitset.Set) *packer {
+	p := &packer{
+		order:   unc.Members(nil),
+		coverOf: make([][]int, unc.Len()),
+		stamp:   make([]int, len(sub)),
+	}
+	for i, s := range sub {
+		for e := s.NextSet(0); e >= 0; e = s.NextSet(e + 1) {
+			p.coverOf[e] = append(p.coverOf[e], i)
+		}
+	}
+	sort.Slice(p.order, func(a, b int) bool {
+		ea, eb := p.order[a], p.order[b]
+		if da, db := len(p.coverOf[ea]), len(p.coverOf[eb]); da != db {
+			return da < db
+		}
+		return ea < eb
+	})
+	return p
+}
+
+// pack greedily packs the elements of unc in static order, taking each
+// element none of whose covering columns an earlier packed element
+// claimed. It returns the packing size, stopping early once it exceeds
+// limit, and the first uncovered element of the order (the branching
+// element; -1 when unc is empty). One generation stamp per call replaces
+// clearing the claims, so a call allocates nothing.
+func (p *packer) pack(unc *bitset.Set, limit int) (size, first int) {
+	p.gen++
+	first = -1
+	for _, e := range p.order {
+		if !unc.Has(e) {
+			continue
+		}
+		if first < 0 {
+			first = e
+		}
+		cols := p.coverOf[e]
+		free := true
+		for _, c := range cols {
+			if p.stamp[c] == p.gen {
+				free = false
+				break
+			}
+		}
+		if !free {
+			continue
+		}
+		for _, c := range cols {
+			p.stamp[c] = p.gen
+		}
+		if size++; size > limit {
+			break
+		}
+	}
+	return size, first
 }
 
 // depthSet returns the depth-d set of a per-depth scratch stack, growing
@@ -388,7 +447,10 @@ func GreedyPartialCover(sets []*bitset.Set, universe *bitset.Set, quota int) ([]
 
 // PartialCover finds a minimum number of sets covering at least quota
 // elements of the universe (the Table III "cov ≥ x%" selection) by
-// include/exclude branch-and-bound with a sum-of-largest-sets bound. It
+// include/exclude branch-and-bound, pruned by a sum-of-largest-sets bound
+// and a slack check. It has no presolve, so a completed solve returns the
+// global optimum under the bestList order: fewest sets, then most
+// elements covered, then the lexicographically smallest index list. It
 // shares SetCover's search harness, determinism and context contract.
 func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set, quota int, opts Options) (CoverResult, error) {
 	if quota <= 0 {
@@ -432,6 +494,16 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 	prefix := make([]int64, len(order)+1)
 	for i, oi := range order {
 		prefix[i+1] = prefix[i] + int64(size[oi])
+	}
+	// suffix[pos] is the union of the sets from order[pos] on: a node at
+	// pos can cover no more than covered ∪ suffix[pos], so the slack
+	// check prunes it when that union misses the quota — more elements
+	// are already lost than the quota allows.
+	suffix := make([]*bitset.Set, len(order)+1)
+	suffix[len(order)] = bitset.New(universe.Len())
+	for pos := len(order) - 1; pos >= 0; pos-- {
+		suffix[pos] = bitset.New(universe.Len())
+		suffix[pos].SetOr(suffix[pos+1], sub[order[pos]])
 	}
 
 	seedCov := bitset.New(universe.Len())
@@ -483,6 +555,9 @@ func PartialCover(ctx context.Context, sets []*bitset.Set, universe *bitset.Set,
 			}
 			if len(cur)+(m-pos) > bnd {
 				return
+			}
+			if covered.OrCount(suffix[pos]) < quota {
+				return // slack check: the quota is out of reach
 			}
 			si := order[pos]
 			if marginal := sub[si].AndNotCount(covered); marginal > 0 {

@@ -18,8 +18,11 @@ import (
 
 // TestCoverSearchTreePinned pins the serial branch-and-bound tree of both
 // covering solvers: the selection, the node count and the incumbent count
-// of each instance were recorded before the solvers shared one search
-// harness. Any change to branching order, pruning, the poll cadence or
+// of each instance. The selections and incumbent counts were recorded
+// before the solvers shared one search harness; the node counts were
+// re-pinned when the packing bound and the slack check landed, which
+// prune only subtrees the incumbent already beats or that cannot reach
+// the quota. Any change to branching order, pruning, the poll cadence or
 // the tie-break moves at least one node and fails here.
 func TestCoverSearchTreePinned(t *testing.T) {
 	type inst struct {
@@ -33,13 +36,13 @@ func TestCoverSearchTreePinned(t *testing.T) {
 		nodes, incumbent int
 	}{
 		// BenchmarkSetCover's instance.
-		{inst{9, 110, 48, 0.10}, []int{0, 1, 2, 6, 9, 11, 13, 15, 21, 22, 24, 35, 37, 38, 43, 44, 47}, 19101, 4},
-		{inst{43, 80, 30, 0.12}, []int{1, 2, 4, 7, 9, 10, 13, 15, 22, 23, 25, 27}, 63, 0},
-		{inst{1, 60, 24, 0.18}, []int{2, 3, 5, 6, 8, 9, 10, 13, 17}, 409, 5},
-		{inst{2, 90, 36, 0.12}, []int{0, 2, 3, 4, 7, 8, 9, 14, 17, 25, 30, 32, 35}, 1092, 5},
-		{inst{5, 120, 40, 0.09}, []int{1, 3, 6, 10, 11, 12, 13, 15, 17, 21, 22, 23, 24, 27, 34, 35, 37, 39}, 1189, 3},
+		{inst{9, 110, 48, 0.10}, []int{0, 1, 2, 6, 9, 11, 13, 15, 21, 22, 24, 35, 37, 38, 43, 44, 47}, 8730, 4},
+		{inst{43, 80, 30, 0.12}, []int{1, 2, 4, 7, 9, 10, 13, 15, 22, 23, 25, 27}, 53, 0},
+		{inst{1, 60, 24, 0.18}, []int{2, 3, 5, 6, 8, 9, 10, 13, 17}, 388, 5},
+		{inst{2, 90, 36, 0.12}, []int{0, 2, 3, 4, 7, 8, 9, 14, 17, 25, 30, 32, 35}, 686, 5},
+		{inst{5, 120, 40, 0.09}, []int{1, 3, 6, 10, 11, 12, 13, 15, 17, 21, 22, 23, 24, 27, 34, 35, 37, 39}, 643, 3},
 		{inst{7, 70, 28, 0.15}, []int{0, 1, 2, 3, 7, 8, 15, 20, 21, 23, 25, 26}, 79, 1},
-		{inst{11, 100, 44, 0.11}, []int{0, 1, 2, 5, 7, 12, 13, 15, 22, 26, 30, 35, 36, 40, 42}, 7671, 5},
+		{inst{11, 100, 44, 0.11}, []int{0, 1, 2, 5, 7, 12, 13, 15, 22, 26, 30, 35, 36, 40, 42}, 4270, 5},
 	}
 	for _, c := range setCases {
 		t.Run(fmt.Sprintf("SetCover/%v", c.in), func(t *testing.T) {
@@ -61,13 +64,13 @@ func TestCoverSearchTreePinned(t *testing.T) {
 		nodes, incumbent int
 	}{
 		// BenchmarkPartialCover's instance.
-		{inst{43, 80, 30, 0.12}, 90, []int{1, 2, 4, 7, 10, 22, 25, 27}, 101123, 0},
-		{inst{1, 60, 24, 0.18}, 90, []int{0, 2, 3, 9, 17, 19, 23}, 238382, 1},
-		{inst{2, 90, 36, 0.12}, 90, []int{0, 2, 3, 9, 22, 25, 30, 32}, 1248099, 2},
-		{inst{300, 50, 20, 0.2}, 70, []int{3, 11, 14}, 563, 0},
-		{inst{301, 50, 20, 0.2}, 70, []int{6, 8, 9, 12}, 5636, 1},
-		{inst{17, 80, 30, 0.12}, 80, []int{11, 15, 17, 21, 23, 26, 29}, 150179, 1},
-		{inst{19, 80, 30, 0.12}, 75, []int{5, 10, 12, 23, 25, 28}, 10209, 0},
+		{inst{43, 80, 30, 0.12}, 90, []int{1, 2, 4, 7, 10, 22, 25, 27}, 58259, 0},
+		{inst{1, 60, 24, 0.18}, 90, []int{0, 2, 3, 9, 17, 19, 23}, 116699, 1},
+		{inst{2, 90, 36, 0.12}, 90, []int{0, 2, 3, 9, 22, 25, 30, 32}, 597261, 2},
+		{inst{300, 50, 20, 0.2}, 70, []int{3, 11, 14}, 547, 0},
+		{inst{301, 50, 20, 0.2}, 70, []int{6, 8, 9, 12}, 5242, 1},
+		{inst{17, 80, 30, 0.12}, 80, []int{11, 15, 17, 21, 23, 26, 29}, 130280, 1},
+		{inst{19, 80, 30, 0.12}, 75, []int{5, 10, 12, 23, 25, 28}, 10178, 0},
 	}
 	for _, c := range partialCases {
 		t.Run(fmt.Sprintf("PartialCover/%v@%d%%", c.in, c.pct), func(t *testing.T) {

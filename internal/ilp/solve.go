@@ -31,8 +31,9 @@ var (
 //
 // Each solve is a single-threaded depth-first search: independent solves
 // run concurrently only as independent calls (the suite fan-out over
-// circuits). A completed solve returns the lexicographically smallest
-// optimum (see bestList).
+// circuits). A completed solve returns the bestList-minimal optimum of
+// the instance it searches: for PartialCover the whole instance, for
+// SetCover the columns its presolve keeps.
 type Options struct {
 	// MaxNodes bounds the branch-and-bound tree (0 = unlimited). Nodes
 	// are counted in serial depth-first order and the cap is checked once
@@ -213,8 +214,9 @@ func (s *search) result(sel []int, rootLB int) (CoverResult, error) {
 // the universe win; full covers pass a constant), and remaining ties fall
 // back to lexicographic comparison of the sorted index lists. Because
 // pruning only discards subtrees that are strictly worse than the
-// incumbent by length, every minimum-size selection is offered and a
-// completed search returns the lexicographically smallest optimum.
+// incumbent by length, or that cannot reach a feasible leaf, every
+// minimum-size selection of the searched instance is offered and a
+// completed search returns the smallest of them in this order.
 type bestList struct {
 	sel     []int
 	score   int
